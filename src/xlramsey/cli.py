@@ -396,6 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_reduce, required=("direction", "coloring", "witness"))
 
+    # Config-file values are typed like the command line's; only option
+    # destinations may be set from a config file.
+    for cmd in sub.choices.values():
+        cmd.set_defaults(option_types={a.dest: a.type for a in cmd._actions})
     return parser
 
 
@@ -412,13 +416,15 @@ def _apply_config(args: argparse.Namespace, argv: list) -> None:
                 for a in argv if a.startswith("--")}
     for key, value in cp.items("experiment"):
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in explicit:
+        if attr not in args.option_types or attr in explicit:
             continue
-        current = getattr(args, attr)
-        if isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, attr, int(value))
-        else:
-            setattr(args, attr, value)
+        convert = args.option_types[attr]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise ConfigError(f"bad value for {key} in config: {value!r}")
+        setattr(args, attr, value)
 
 
 def run_experiment(argv=None) -> int:
@@ -442,3 +448,7 @@ def run_experiment(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_experiment())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,6 +8,7 @@ both may be shared freely between threads once built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
@@ -351,9 +352,9 @@ def _least_disagreement_level(X: OracleSet, elems: tuple, programs) -> int:
     n = a0 // 2
     for i in range(1, n + 1):
         bound = elems[n - i]
-        first = staged_jump(X, tuple(reversed(elems[n - i + 1: n + 1])), programs)
-        second = staged_jump(X, tuple(reversed(elems[2 * n - i + 1: 2 * n + 1])), programs)
-        if first.below(bound) != second.below(bound):
+        first = staged_jump(X, tuple(reversed(elems[n - i + 1: n + 1])), programs).elems
+        second = staged_jump(X, tuple(reversed(elems[2 * n - i + 1: 2 * n + 1])), programs).elems
+        if first[:bisect_left(first, bound)] != second[:bisect_left(second, bound)]:
             return i
     return 0
 

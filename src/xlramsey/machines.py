@@ -27,11 +27,14 @@ are cut off at the requested bound.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .largesets import FinSet
 
 REGISTERS = 4
 
@@ -236,6 +239,9 @@ def load_program_universe(path) -> list[Program]:
 
 _REGISTRY_LOCK = threading.Lock()
 _CONTENT_TOKENS: dict[tuple, int] = {}
+# Never restarts, so a token handed out before clear_caches (such as the
+# one in EMPTY's key) is never handed out again for other contents.
+_NEXT_TOKEN = itertools.count()
 
 
 def _content_token(elems: tuple) -> int:
@@ -243,7 +249,7 @@ def _content_token(elems: tuple) -> int:
     with _REGISTRY_LOCK:
         tok = _CONTENT_TOKENS.get(elems)
         if tok is None:
-            tok = len(_CONTENT_TOKENS)
+            tok = next(_NEXT_TOKEN)
             _CONTENT_TOKENS[elems] = tok
         return tok
 
@@ -366,38 +372,6 @@ class DomainStageOracle(OracleSet):
     def key(self):
         kb = self.base.key
         return None if kb is None else ("dom", self.i, kb, self.s)
-
-
-class LazyJumpOracle(OracleSet):
-    """Pair-coded jump at a fixed stage, answered code by code.
-
-    Membership of code c probes every decomposition c = pair(m, e); this
-    avoids materializing the whole stage set when only a few codes are
-    ever queried.
-    """
-
-    def __init__(self, base: OracleSet, stage: int, programs=None):
-        self.base, self.stage = base, stage
-        self.programs = None if programs is None else frozenset(programs)
-        self._memo: dict[int, bool] = {}
-        self._lock = threading.Lock()
-
-    def member(self, c: int) -> bool:
-        with self._lock:
-            if c in self._memo:
-                return self._memo[c]
-        ans = _code_in_jump(self.base, self.stage, c, self.programs)
-        with self._lock:
-            self._memo[c] = ans
-        return ans
-
-    @property
-    def key(self):
-        kb = self.base.key
-        if kb is None:
-            return None
-        ptok = None if self.programs is None else _content_token(tuple(sorted(self.programs)))
-        return ("jlazy", kb, self.stage, ptok)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +510,13 @@ def halt_threshold(e: int, oracle: OracleSet, x: int, cap: int) -> Optional[int]
 
 
 def clear_caches() -> None:
-    """Drop all memoized run and jump data (test hygiene)."""
+    """Drop all memoized run and jump data and the interned set contents."""
     with _THRESHOLD_LOCK:
         _THRESHOLD_CACHE.clear()
     with _JUMP_LOCK:
         _JUMP_CACHE.clear()
+    with _REGISTRY_LOCK:
+        _CONTENT_TOKENS.clear()
     decode_program.cache_clear()
 
 
@@ -558,7 +534,7 @@ def g_limit(i: int, e: int, s: int, x: int, oracle: OracleSet) -> int:
 
 
 _JUMP_LOCK = threading.Lock()
-_JUMP_CACHE: dict[tuple, "FinSet"] = {}
+_JUMP_CACHE: dict[tuple, FinSet] = {}
 
 
 def _programs_token(programs) -> Optional[int]:
@@ -567,15 +543,13 @@ def _programs_token(programs) -> Optional[int]:
     return _content_token(tuple(sorted(set(programs))))
 
 
-def jump_pairs_approx(oracle: OracleSet, s: int, programs=None) -> "FinSet":
+def jump_pairs_approx(oracle: OracleSet, s: int, programs=None) -> FinSet:
     """Stage-s pair-coded jump: all codes pair(m, e) such that m enters
     the domain of program e over the oracle at some stage t < s.
 
     Monotone nondecreasing in s.  ``programs`` optionally restricts the
     contributing indices e to a curated finite list.
     """
-    from .largesets import FinSet
-
     okey = oracle.key
     ckey = None
     if okey is not None:
@@ -611,12 +585,10 @@ def _code_in_jump(oracle: OracleSet, s: int, c: int, programs=None) -> bool:
     return False
 
 
-def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> "FinSet":
+def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> FinSet:
     """The stage-s pair-coded jump restricted below a code bound,
     computed by probing code decompositions instead of scanning the
     whole index range.  Agrees with jump_pairs_approx on the bound."""
-    from .largesets import FinSet
-
     okey = oracle.key
     ckey = None
     progset = None if programs is None else frozenset(programs)
@@ -655,16 +627,32 @@ class JumpStageSpec:
         return cls(tuple(int(p.strip()) for p in text.split(",")))
 
 
-def staged_jump(oracle: OracleSet, spec, programs=None) -> "FinSet":
+def staged_jump(oracle: OracleSet, spec, programs=None) -> FinSet:
     """Fold the pair-coded jump along a stage list, innermost stage
-    first; the base oracle plays the role of the zeroth level."""
+    first; the base oracle plays the role of the zeroth level.
+
+    Folds are memoized per (oracle key, stages, programs) in the jump
+    cache, which clear_caches empties; an oracle without a key is folded
+    afresh on every call.
+    """
     stages = spec.stages if isinstance(spec, JumpStageSpec) else tuple(spec)
+    okey = oracle.key
+    ckey = None
+    if okey is not None:
+        ckey = ("sj", okey, stages, _programs_token(programs))
+        with _JUMP_LOCK:
+            hit = _JUMP_CACHE.get(ckey)
+        if hit is not None:
+            return hit
     JumpStageSpec(stages)  # validates
     current: OracleSet = oracle
     result = None
     for u in stages:
         result = jump_pairs_approx(current, u, programs)
         current = ExplicitOracle(result.elems)
+    if ckey is not None:
+        with _JUMP_LOCK:
+            _JUMP_CACHE[ckey] = result
     return result
 
 

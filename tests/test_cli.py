@@ -1,7 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import xlramsey
 
 from xlramsey.cli import (
     CONFIG_ERROR,
@@ -199,6 +204,36 @@ def test_config_file_supplies_defaults(tmp_path):
     ])
     assert code == OK
     assert read_json(w)["config"]["universe"] == "interval:2..16"
+
+
+def test_config_values_take_the_option_type(tmp_path):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({
+        "schema": "xlramsey.witness/1", "kind": "homogeneous",
+        "set": [2, 7000, 7500, 8000], "color": 1, "per_min": None,
+        "verified": True, "budget": {},
+    }))
+    cfg = tmp_path / "exp.ini"
+    argv = ["decode", "--witness", str(w), "--query", "1,1",
+            "--oracle", "{0,5}", "--config", str(cfg)]
+    cfg.write_text("[experiment]\ntruth-cutoff = 1000\n")
+    assert run_experiment(argv) == OK
+    cfg.write_text("[experiment]\ntruth-cutoff = lots\n")
+    assert run_experiment(argv) == CONFIG_ERROR
+    # keys that name no option are ignored
+    cfg.write_text("[experiment]\nfn = oops\n")
+    assert run_experiment(argv) == OK
+
+
+def test_module_runs_as_script():
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xlramsey.cli", "enumerate", "--universe", "{2,3,4}"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exactly-large subsets of {2,3,4}: 1" in proc.stdout
 
 
 def test_programs_file_restricts_dh(tmp_path):

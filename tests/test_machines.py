@@ -2,7 +2,10 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xlramsey import machines
 from xlramsey.largesets import FinSet
 from xlramsey.machines import (
     EMPTY,
@@ -12,6 +15,7 @@ from xlramsey.machines import (
     JoinOracle,
     JumpStageSpec,
     Program,
+    clear_caches,
     decode_program,
     encode_program,
     g_limit,
@@ -269,8 +273,9 @@ def test_jump_codes_below_agrees_with_full_scan():
 def test_staged_jump_single_stage_and_zero():
     assert staged_jump(EMPTY, (16,)) == jump_pairs_approx(EMPTY, 16)
     assert staged_jump(EMPTY, (0, 0)) == FinSet()
-    with pytest.raises(ValueError):
-        staged_jump(EMPTY, ())
+    for bad in ((), (3, -1)):
+        with pytest.raises(ValueError):
+            staged_jump(EMPTY, bad)
 
 
 def test_staged_jump_matches_hand_unrolled():
@@ -278,6 +283,60 @@ def test_staged_jump_matches_hand_unrolled():
     outer = jump_pairs_approx(ExplicitOracle(inner.elems), 16)
     assert staged_jump(EMPTY, (8, 16)) == outer
     assert staged_jump(EMPTY, JumpStageSpec((8, 16))) == outer
+
+
+def fold_reference(oracle, stages, programs):
+    current = oracle
+    for u in stages:
+        result = jump_pairs_approx(current, u, programs)
+        current = ExplicitOracle(result.elems)
+    return result
+
+
+small_sets = st.frozensets(st.integers(0, 40), max_size=8)
+program_lists = st.none() | st.lists(st.integers(0, 12), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    elems=small_sets,
+    stages=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+    programs=program_lists,
+    rnd=st.randoms(use_true_random=False),
+)
+def test_staged_jump_matches_plain_fold(elems, stages, programs, rnd):
+    oracle = ExplicitOracle(elems)
+    clear_caches()
+    want = fold_reference(oracle, stages, programs)
+    clear_caches()
+    got = staged_jump(oracle, stages, programs)
+    assert got == want
+    assert staged_jump(oracle, stages, programs) == want
+    if programs is not None:
+        shuffled = list(programs)
+        rnd.shuffle(shuffled)
+        assert staged_jump(oracle, stages, shuffled) == want
+    # an unkeyed oracle with the same members takes the uncached path
+    assert staged_jump(FuncOracle(oracle.member), stages, programs) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(elems=small_sets, s=st.integers(0, 12), programs=program_lists)
+def test_jump_pairs_approx_monotone_property(elems, s, programs):
+    oracle = ExplicitOracle(elems)
+    lower = jump_pairs_approx(oracle, s, programs)
+    assert lower.issubset(jump_pairs_approx(oracle, s + 1, programs))
+
+
+def test_clear_caches_forgets_content_tokens():
+    ExplicitOracle((1, 2, 3))
+    clear_caches()
+    assert machines._CONTENT_TOKENS == {}
+    five = ExplicitOracle((5,))
+    assert five.key != EMPTY.key
+    q, cap = query_loop_index(), 10 ** 4
+    assert halt_threshold(q, EMPTY, 5, cap) is None
+    assert halt_threshold(q, five, 5, cap) == q + 1
 
 
 def test_jump_stage_spec_text():

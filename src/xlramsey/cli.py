@@ -19,6 +19,7 @@ from typing import Optional
 
 from .colorings import (
     ExactColoring,
+    NotMinHomogeneous,
     RegressiveColoring,
     comega_coloring,
     dh_coloring,
@@ -235,18 +236,23 @@ def _cmd_search(args) -> int:
     return OK
 
 
+_REPLAYED_KEYS = ("coloring", "seed", "oracle", "programs")
+
+
 def _cmd_verify(args) -> int:
     witness = load_witness(args.witness)
-    spec = args.coloring
-    if spec is None:
-        # witness files emitted by `search` are self-describing
-        with open(args.witness, encoding="utf-8") as fh:
-            spec = json.load(fh).get("config", {}).get("coloring")
-    if spec is None:
+    # Witness files emitted by `search` are self-describing: what this
+    # run does not set itself is replayed from the recorded config.
+    with open(args.witness, encoding="utf-8") as fh:
+        recorded = json.load(fh).get("config") or {}
+    for key in _REPLAYED_KEYS:
+        if key not in args.given and key in recorded:
+            setattr(args, key, recorded[key])
+    if args.coloring is None:
         raise ConfigError("no coloring given and none recorded in the witness")
     oracle = parse_oracle(args.oracle)
     programs = _load_programs(args.programs)
-    coloring = parse_coloring(spec, oracle, args.seed, programs)
+    coloring = parse_coloring(args.coloring, oracle, args.seed, programs)
     if witness.kind == "min-homogeneous":
         report = verify_min_homogeneous(witness.set, coloring)
     else:
@@ -300,7 +306,11 @@ def _cmd_reduce(args) -> int:
             budget_used={"direction": "km-to-rt", "source": list(witness.set.elems)},
         )
     elif args.direction == "rt-via-km":
-        thinned = rt_via_km(coloring, witness.set)
+        try:
+            thinned = rt_via_km(coloring, witness.set)
+        except NotMinHomogeneous as exc:
+            print(f"input witness is {exc}")
+            return VERIFY_FAILURE
         out_report = verify_exact_homogeneous(thinned, coloring)
         out = Witness(
             thinned, "homogeneous", color=out_report.color,
@@ -399,11 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     # Config-file values are typed like the command line's; only option
     # destinations may be set from a config file.
     for cmd in sub.choices.values():
-        cmd.set_defaults(option_types={a.dest: a.type for a in cmd._actions})
+        cmd.set_defaults(option_actions={a.dest: a for a in cmd._actions})
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list) -> None:
+def _apply_config(args: argparse.Namespace) -> None:
+    """Fill options not given on the command line from the config file's
+    [experiment] section.  An append option takes one item per nonempty
+    line.  Every option set here joins ``args.given``."""
     if not getattr(args, "config", None):
         return
     cp = configparser.ConfigParser()
@@ -412,27 +425,32 @@ def _apply_config(args: argparse.Namespace, argv: list) -> None:
         raise ConfigError(f"cannot read config file: {args.config}")
     if not cp.has_section("experiment"):
         raise ConfigError("config file needs an [experiment] section")
-    explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
     for key, value in cp.items("experiment"):
         attr = key.replace("-", "_")
-        if attr not in args.option_types or attr in explicit:
+        action = args.option_actions.get(attr)
+        if action is None or attr in args.given:
             continue
-        convert = args.option_types[attr]
-        if convert is not None:
+        appends = isinstance(action, argparse._AppendAction)
+        items = [v.strip() for v in value.splitlines() if v.strip()] if appends else [value]
+        if action.type is not None:
             try:
-                value = convert(value)
+                items = [action.type(v) for v in items]
             except ValueError:
                 raise ConfigError(f"bad value for {key} in config: {value!r}")
-        setattr(args, attr, value)
+        setattr(args, attr, items if appends else items[0])
+        args.given.add(attr)
 
 
 def run_experiment(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Options given on the command line; config files and recorded
+    # witness configs only fill in the rest.
+    args.given = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
+                  for a in argv if a.startswith("--")}
     try:
-        _apply_config(args, argv)
+        _apply_config(args)
         _require(args, *getattr(args, "required", ()))
         return args.fn(args)
     except ConfigError as exc:

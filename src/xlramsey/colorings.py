@@ -8,6 +8,7 @@ both may be shared freely between threads once built.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,6 +18,7 @@ from .decoders import _ApproxJumpOracle, _halts
 from .largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
 from .machines import (
     OracleSet,
+    ProgramSet,
     encode_list,
     jump_halt0,
     run_bounded,
@@ -59,6 +61,8 @@ class FiniteColoring:
 class ExactColoring:
     """A deterministic coloring of exactly large sets."""
 
+    _prefix: tuple = ()
+
     def __init__(self, fn: Callable[[ExactlyLargeSet], int],
                  palette: Optional[int] = 2, name: str = ""):
         self.palette = palette
@@ -66,17 +70,42 @@ class ExactColoring:
         self._fn = fn
         self._memo: dict[tuple, int] = {}
 
+    def at_min(self, a: int) -> "ExactColoring":
+        """The stage coloring at minimum a: an increasing a-tuple above a
+        gets the color of the exactly large set of a and the tuple.
+
+        The stage shares this coloring's function and checks but keeps
+        its own memo, keyed by the tuple, so each stage tuple is
+        evaluated and stored once.  It has a ``dimension`` like a
+        FiniteColoring, and palette 2 when this coloring has none.
+        """
+        stage = copy.copy(self)
+        stage._prefix = (a,)
+        stage._memo = {}
+        stage.dimension = a
+        stage.palette = self.palette or 2
+        stage.name = f"{self.name}@{a}"
+        return stage
+
     def __call__(self, s) -> int:
-        if not isinstance(s, ExactlyLargeSet):
-            s = ExactlyLargeSet(s if isinstance(s, FinSet) else FinSet(s))
-        hit = self._memo.get(s.elems)
-        if hit is not None:
-            return hit
+        if self._prefix:
+            key = tuple(s)
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
+            s = ExactlyLargeSet(FinSet(self._prefix + key))
+        else:
+            if not isinstance(s, ExactlyLargeSet):
+                s = ExactlyLargeSet(s if isinstance(s, FinSet) else FinSet(s))
+            key = s.elems
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
         v = self._fn(s)
+        self._check(s, v)
         if v < 0 or (self.palette is not None and v >= self.palette):
             raise ValueError(f"color {v} outside palette of {self.palette}")
-        self._check(s, v)
-        self._memo[s.elems] = v
+        self._memo[key] = v
         return v
 
     def _check(self, s: ExactlyLargeSet, v: int) -> None:
@@ -364,7 +393,7 @@ def dh_coloring(X: OracleSet, programs=None) -> ExactColoring:
     jump approximations, read at stages taken from the middle and the
     top of the tuple, disagree below the tuple's bounding entry.  Odd
     minima color 0 (the value is irrelevant there)."""
-    progs = None if programs is None else tuple(sorted(set(programs)))
+    progs = None if programs is None else ProgramSet(programs)
 
     def fn(s: ExactlyLargeSet) -> int:
         return 1 if _least_disagreement_level(X, s.elems, progs) else 0
@@ -375,7 +404,7 @@ def dh_coloring(X: OracleSet, programs=None) -> ExactColoring:
 def km_dh_coloring(X: OracleSet, programs=None) -> RegressiveColoring:
     """Regressive variant: the least disagreeing level itself (0 when
     none).  Regressive because the level is at most half the minimum."""
-    progs = None if programs is None else tuple(sorted(set(programs)))
+    progs = None if programs is None else ProgramSet(programs)
 
     def fn(s: ExactlyLargeSet) -> int:
         return _least_disagreement_level(X, s.elems, progs)
@@ -423,9 +452,15 @@ def km_to_rt(c: ExactColoring) -> KmRtReduction:
     return KmRtReduction(ExactColoring(fn, palette=2, name=f"km-to-rt[{c.name}]"))
 
 
+class NotMinHomogeneous(ValueError):
+    """A set offered as min-homogeneous has two exactly large subsets
+    with one minimum and different colors."""
+
+
 def _min_color_map(H: FinSet, c: ExactColoring):
     """Induced per-minimum colors over exactly large subsets of H.
-    Raises on a min-homogeneity violation, reporting the offending pair."""
+    Raises NotMinHomogeneous on a violation, reporting the offending
+    pair."""
     colors: dict[int, tuple] = {}
     for s in enumerate_exactly_large(H):
         m = s.min()
@@ -434,7 +469,7 @@ def _min_color_map(H: FinSet, c: ExactColoring):
         if prev is None:
             colors[m] = (v, s)
         elif prev[0] != v:
-            raise ValueError(
+            raise NotMinHomogeneous(
                 f"not min-homogeneous: {prev[1]} has color {prev[0]} "
                 f"but {s} has color {v}"
             )

@@ -20,6 +20,7 @@ from typing import Optional
 from .largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
 from .machines import (
     OracleSet,
+    ProgramSet,
     halt_threshold,
     jump_halt0,
     mone_reduction,
@@ -265,6 +266,7 @@ def dh_reconstruct(
         raise ValueError("H must consist of even numbers")
     n = h // 2
     above = H.above(h).elems
+    programs = None if programs is None else ProgramSet(programs)
 
     base_probe = code_bound if code_bound is not None else (max(H.elems) if H.elems else 0)
     level0 = FinSet([c for c in range(base_probe) if X.member(c)])

@@ -32,11 +32,13 @@ class FinSet:
         elems = tuple(elems)
         last = -1
         for v in elems:
-            if not isinstance(v, int) or isinstance(v, bool):
+            # Plain ints skip the isinstance calls; a negative element is
+            # never above its predecessor (last starts at -1).
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                 raise ValueError(f"not a natural number: {v!r}")
-            if v < 0:
-                raise ValueError(f"negative element: {v}")
             if v <= last:
+                if v < 0:
+                    raise ValueError(f"negative element: {v}")
                 raise ValueError("elements must be strictly increasing")
             last = v
         self.elems = elems

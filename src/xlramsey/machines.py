@@ -537,9 +537,19 @@ _JUMP_LOCK = threading.Lock()
 _JUMP_CACHE: dict[tuple, FinSet] = {}
 
 
+class ProgramSet(frozenset):
+    """A set of program indices that carries its jump-cache key, computed
+    once, so repeated jump calls with it skip sorting and interning."""
+
+    def __init__(self, indices=()):
+        self.token = _content_token(tuple(sorted(self)))
+
+
 def _programs_token(programs) -> Optional[int]:
     if programs is None:
         return None
+    if isinstance(programs, ProgramSet):
+        return programs.token
     return _content_token(tuple(sorted(set(programs))))
 
 
@@ -591,13 +601,13 @@ def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> Fi
     whole index range.  Agrees with jump_pairs_approx on the bound."""
     okey = oracle.key
     ckey = None
-    progset = None if programs is None else frozenset(programs)
     if okey is not None:
         ckey = ("jb", okey, s, bound, _programs_token(programs))
         with _JUMP_LOCK:
             hit = _JUMP_CACHE.get(ckey)
         if hit is not None:
             return hit
+    progset = None if programs is None else frozenset(programs)
     members = [c for c in range(bound) if _code_in_jump(oracle, s, c, progset)]
     result = FinSet(members)
     if ckey is not None:

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .colorings import ExactColoring, FiniteColoring
-from .largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
+from .largesets import FinSet, enumerate_exactly_large
 
 
 @dataclass(frozen=True)
@@ -250,10 +250,34 @@ def min_homog_search(c: ExactColoring, universe: FinSet, k: int) -> SearchResult
 class ChildSet(NamedTuple):
     values: tuple[int, ...]
     complete: bool
+    # Per child, the candidates that survive at the child node: the
+    # members of its class above it.  leftmost_path carries them down.
+    classes: tuple[tuple[int, ...], ...] = ()
+
+
+def _split(node: tuple, pool, c: FiniteColoring) -> dict:
+    """Group the increasing candidates j in pool by the colors of the
+    tuples sub + (t, j), for t the node's last entry and sub in
+    C(node[:-1], a-1) with a = c.dimension - 1.  Classes come in order of
+    their minima."""
+    heads = ()
+    if node:
+        t = node[-1]
+        heads = [sub + (t,) for sub in combinations(node[:-1], c.dimension - 2)]
+    classes: dict[tuple, list] = {}
+    for j in pool:
+        key = tuple([c(h + (j,)) for h in heads])
+        members = classes.get(key)
+        if members is None:
+            classes[key] = [j]
+        else:
+            members.append(j)
+    return classes
 
 
 def er_children(node, c: FiniteColoring, universe: FinSet,
-                budget: SearchBudget = DEFAULT_BUDGET) -> ChildSet:
+                budget: SearchBudget = DEFAULT_BUDGET,
+                survivors=None) -> ChildSet:
     """Children of a tree node.
 
     A candidate must lie above every node entry and must agree with the
@@ -263,44 +287,38 @@ def er_children(node, c: FiniteColoring, universe: FinSet,
     (the colors of every way to finish a tuple from the node with the
     candidate) and the least member of each class is a child, ordered by
     value.  Nodes shorter than the signature arity have a single child,
-    the least candidate.  A truncated candidate scan flags the child
-    list incomplete.
+    the least candidate.  Only the first ``max_candidates`` universe
+    elements above the node can be children; a longer candidate list
+    flags the child list incomplete.
+
+    The tree is built incrementally.  Let t be the node's last entry and
+    p the node before it.  The survivors at the node are exactly the
+    candidates above t in t's signature class at p, because every
+    committed color below t was fixed at p.  So survivors differ only in
+    the colors of the tuples that end in (t, j), and the node groups them
+    by those alone.  ``survivors`` is the carried class (the candidates
+    above t that survive at the node, from the parent's ``classes``);
+    when it is None the class is rebuilt by replaying the same split
+    from the root.  Classes are never truncated by the budget, so the
+    carried class is the same as the replayed one.
     """
     node = tuple(node)
-    a = c.dimension - 1
-    lo = node[-1] if node else -1
-    start = bisect_right(universe.elems, lo)
-    candidates = universe.elems[start:]
-    subsets = list(combinations(node, a)) if len(node) >= a else []
-    # Committed color per subset: the color alongside the first node
-    # entry above the subset (later entries agree along a valid branch).
-    committed = {}
-    for sub in subsets:
-        i = bisect_right(node, sub[-1])
-        if i < len(node):
-            committed[sub] = c(sub + (node[i],))
-    seen: dict[tuple, int] = {}
-    complete = True
-    scanned = 0
-    for j in candidates:
-        if scanned >= budget.max_candidates:
-            complete = False
-            break
-        scanned += 1
-        sig = []
-        ok = True
-        for sub in subsets:
-            v = c(sub + (j,))
-            want = committed.get(sub)
-            if want is not None and v != want:
-                ok = False
-                break
-            sig.append(v)
-        if ok:
-            key = tuple(sig)
-            if key not in seen:
-                seen[key] = j
-    return ChildSet(tuple(sorted(seen.values())), complete)
+    elems = universe.elems
+    start = bisect_right(elems, node[-1]) if node else 0
+    if survivors is None:
+        survivors = elems
+        for k, u in enumerate(node):
+            above = [j for j in survivors if j > u]
+            # u heads its own class, which holds the survivors at node[:k+1]
+            survivors = next(iter(_split(node[:k], [u] + above, c).values()))[1:]
+    complete = len(elems) - start <= budget.max_candidates
+    edge = None if complete else elems[start + budget.max_candidates]
+    values, classes = [], []
+    for members in _split(node, survivors, c).values():
+        if edge is None or members[0] < edge:
+            values.append(members[0])
+            classes.append(tuple(members[1:]))
+    return ChildSet(tuple(values), complete, tuple(classes))
 
 
 class PathResult(NamedTuple):
@@ -318,13 +336,17 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
     (truncated to the requested length).  The stability flag is true
     when the requested length was reached and no abandoned subtree was
     cut short by the candidate budget rather than by the universe.
+
+    Each child is expanded with its carried class (``er_children``'s
+    ``classes``), so a node colors only the tuples that end in its last
+    entry.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
     truncated = False
     expanded = 0
 
-    def extend(node: tuple) -> Optional[tuple]:
+    def extend(node: tuple, survivors) -> Optional[tuple]:
         nonlocal truncated, expanded
         if len(node) == length:
             return node
@@ -333,26 +355,28 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
             # exploring an adversarial tree forever.
             truncated = True
             return None
-        ch = er_children(node, c, universe, budget)
+        ch = er_children(node, c, universe, budget, survivors)
         expanded += 1
         if not ch.complete:
             truncated = True
-        for j in ch.values:
-            found = extend(node + (j,))
+        for j, below in zip(ch.values, ch.classes):
+            found = extend(node + (j,), below)
             if found is not None:
                 return found
         return None
 
-    best = extend(())
+    best = extend((), universe.elems)
     if best is None:
         # No branch of full length: report the longest leftmost prefix.
         node: tuple = ()
+        survivors = universe.elems
         while True:
-            ch = er_children(node, c, universe, budget)
+            ch = er_children(node, c, universe, budget, survivors)
             expanded += 1
             if not ch.values:
                 break
             node = node + (ch.values[0],)
+            survivors = ch.classes[0]
         return PathResult(FinSet(node), False, expanded)
     return PathResult(FinSet(best), not truncated, expanded)
 
@@ -468,13 +492,6 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
 # ---------------------------------------------------------------------------
 # the iterated chain construction
 
-def _stage_coloring(c: ExactColoring, a: int) -> FiniteColoring:
-    def fn(tpl):
-        return c(ExactlyLargeSet(FinSet((a,) + tpl)))
-
-    return FiniteColoring(a, fn, palette=c.palette or 2, name=f"{c.name}@{a}")
-
-
 def iterate_rtomega(c: ExactColoring, universe: FinSet,
                     budget: SearchBudget = DEFAULT_BUDGET,
                     start: Optional[int] = None) -> Witness:
@@ -502,7 +519,7 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
         a = chain[-1]
         if len(current) < a:
             break
-        w = f_a_extract(a, _stage_coloring(c, a), FinSet(current), len(current), budget)
+        w = f_a_extract(a, c.at_min(a), FinSet(current), len(current), budget)
         if not w.set or w.color is None:
             break
         if not w.budget_used.get("homogeneous_recheck", True):

@@ -260,3 +260,55 @@ def test_cutoff_env_override(monkeypatch):
     assert default_truth_cutoff() == 10 ** 6
     monkeypatch.delenv("XLRAMSEY_CUTOFF")
     assert default_truth_cutoff() == 10 ** 6
+
+
+def test_verify_replays_the_recorded_config(tmp_path):
+    w = tmp_path / "w.json"
+    overridden = 0
+    for seed in range(1, 8):
+        code = run_experiment([
+            "search", "--coloring", "random", "--seed", str(seed),
+            "--universe", "interval:2..12", "--k", "5",
+            "--mode", "homogeneous", "--out-witness", str(w),
+        ])
+        assert code == OK
+        # seed, oracle and programs come from the witness's config block
+        assert run_experiment(["verify", "--witness", str(w)]) == OK
+        # an explicit flag still wins over the recorded value
+        code = run_experiment(["verify", "--witness", str(w), "--seed", "0"])
+        overridden += code == VERIFY_FAILURE
+    assert overridden > 0
+
+
+def test_config_file_fills_append_options(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({
+        "schema": "xlramsey.witness/1", "kind": "homogeneous",
+        "set": [2, 7000, 7500, 8000], "color": 1, "per_min": None,
+        "verified": True, "budget": {},
+    }))
+    cfg = tmp_path / "exp.ini"
+    argv = ["decode", "--witness", str(w), "--oracle", "{0,5}", "--config", str(cfg)]
+    cfg.write_text("[experiment]\nquery = 1,1\n")
+    assert run_experiment(argv) == OK
+    assert capsys.readouterr().out.splitlines() == ["1,1,1,1,1,{2,7000,7500},"]
+    cfg.write_text("[experiment]\nquery = 1,1\n\n  1,0\n")
+    assert run_experiment(argv) == OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[:2] for line in lines] == [["1", "1"], ["1", "0"]]
+
+
+def test_reduce_rt_via_km_rejects_non_min_homogeneous(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({
+        "schema": "xlramsey.witness/1", "kind": "min-homogeneous",
+        "set": [2, 3, 4, 5, 6], "color": None, "per_min": None,
+        "verified": True, "budget": {},
+    }))
+    # {2,3,4} and {2,3,5} share a minimum but not a sum parity
+    code = run_experiment([
+        "reduce", "--direction", "rt-via-km", "--coloring", "parity-of-sum",
+        "--witness", str(w),
+    ])
+    assert code == VERIFY_FAILURE
+    assert "not min-homogeneous: {2,3,4} has color 1 but {2,3,5} has color 0" in capsys.readouterr().out

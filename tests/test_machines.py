@@ -15,6 +15,7 @@ from xlramsey.machines import (
     JoinOracle,
     JumpStageSpec,
     Program,
+    ProgramSet,
     clear_caches,
     decode_program,
     encode_program,
@@ -316,8 +317,29 @@ def test_staged_jump_matches_plain_fold(elems, stages, programs, rnd):
         shuffled = list(programs)
         rnd.shuffle(shuffled)
         assert staged_jump(oracle, stages, shuffled) == want
+        # a pre-keyed set shares the cache entries of the plain list
+        assert staged_jump(oracle, stages, ProgramSet(shuffled)) == want
+        clear_caches()
+        assert staged_jump(oracle, stages, ProgramSet(programs)) == want
     # an unkeyed oracle with the same members takes the uncached path
     assert staged_jump(FuncOracle(oracle.member), stages, programs) == want
+
+
+def test_program_set_key_is_computed_once(monkeypatch):
+    progs = ProgramSet([9, 3, 3, 5])
+    assert progs == {3, 5, 9}
+    staged_jump(EMPTY, (4, 3), progs)
+    interned = []
+    real = machines._content_token
+    monkeypatch.setattr(machines, "_content_token",
+                        lambda elems: interned.append(elems) or real(elems))
+    for _ in range(3):
+        staged_jump(EMPTY, (4, 3), progs)
+        jump_pairs_approx(EMPTY, 4, progs)
+        jump_codes_below(EMPTY, 4, 6, progs)
+    assert interned == []
+    staged_jump(EMPTY, (4, 3), [9, 3, 5])
+    assert interned[-1] == (3, 5, 9)  # a plain list is keyed on every call
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,13 +1,18 @@
 import random
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_finite_coloring, random_regressive_coloring
 
 from xlramsey.colorings import ExactColoring, FiniteColoring
 from xlramsey.largesets import FinSet
 from xlramsey.ramsey import (
+    DEFAULT_BUDGET,
+    PathResult,
     SearchBudget,
     Witness,
     brute_homogeneous,
@@ -79,6 +84,110 @@ def test_brute_validates_k():
 
 # ---------------------------------------------------------------------------
 # tree children
+
+def reference_er_children(node, c, universe, budget=DEFAULT_BUDGET):
+    """The full-signature tree step: every candidate's colors on all of
+    C(node, a) are recomputed at every node."""
+    node = tuple(node)
+    a = c.dimension - 1
+    lo = node[-1] if node else -1
+    candidates = universe.elems[bisect_right(universe.elems, lo):]
+    subsets = list(combinations(node, a)) if len(node) >= a else []
+    committed = {}
+    for sub in subsets:
+        i = bisect_right(node, sub[-1])
+        if i < len(node):
+            committed[sub] = c(sub + (node[i],))
+    seen = {}
+    complete = True
+    scanned = 0
+    for j in candidates:
+        if scanned >= budget.max_candidates:
+            complete = False
+            break
+        scanned += 1
+        sig = []
+        ok = True
+        for sub in subsets:
+            v = c(sub + (j,))
+            want = committed.get(sub)
+            if want is not None and v != want:
+                ok = False
+                break
+            sig.append(v)
+        if ok:
+            key = tuple(sig)
+            if key not in seen:
+                seen[key] = j
+    return tuple(sorted(seen.values())), complete
+
+
+def reference_leftmost_path(c, universe, length, budget=DEFAULT_BUDGET):
+    """First-child depth-first search driven by the reference step."""
+    truncated = False
+    expanded = 0
+
+    def extend(node):
+        nonlocal truncated, expanded
+        if len(node) == length:
+            return node
+        if expanded >= budget.max_candidates:
+            truncated = True
+            return None
+        values, complete = reference_er_children(node, c, universe, budget)
+        expanded += 1
+        if not complete:
+            truncated = True
+        for j in values:
+            found = extend(node + (j,))
+            if found is not None:
+                return found
+        return None
+
+    best = extend(())
+    if best is None:
+        node = ()
+        while True:
+            values, _ = reference_er_children(node, c, universe, budget)
+            expanded += 1
+            if not values:
+                break
+            node = node + (values[0],)
+        return PathResult(FinSet(node), False, expanded)
+    return PathResult(FinSet(best), not truncated, expanded)
+
+
+budgets = st.sampled_from(
+    [SearchBudget(max_candidates=m) for m in (1, 2, 3)] + [DEFAULT_BUDGET]
+)
+small_universes = st.sets(st.integers(0, 15), max_size=12).map(sorted).map(FinSet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(2, 4), palette=st.integers(2, 3),
+       universe=small_universes, node=st.sets(st.integers(0, 15), max_size=5),
+       budget=budgets)
+def test_er_children_matches_reference(seed, dim, palette, universe, node, budget):
+    # Arbitrary increasing nodes, including ones that are no tree branch
+    # and ones with entries outside the universe.
+    node = tuple(sorted(node))
+    c = random_finite_coloring(seed, dim, palette)
+    ch = er_children(node, c, universe, budget)
+    assert (ch.values, ch.complete) == reference_er_children(node, c, universe, budget)
+    # Each child's carried class is what a fresh replay finds at the child.
+    for j, carried in zip(ch.values, ch.classes):
+        again = er_children(node + (j,), c, universe, budget)
+        assert er_children(node + (j,), c, universe, budget, carried) == again
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(2, 4), palette=st.integers(2, 3),
+       universe=small_universes, length=st.integers(1, 8), budget=budgets)
+def test_leftmost_path_matches_reference(seed, dim, palette, universe, length, budget):
+    c = random_finite_coloring(seed, dim, palette)
+    got = leftmost_path(c, universe, length, budget)
+    assert got == reference_leftmost_path(c, universe, length, budget)
+
 
 def test_er_children_empty_node():
     c = FiniteColoring(2, lambda t: 0)

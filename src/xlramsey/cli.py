@@ -207,17 +207,11 @@ def _cmd_search(args) -> int:
     if args.mode == "chain":
         start = None if args.start in (None, "min") else int(args.start)
         witness = iterate_rtomega(coloring, universe, budget, start)
-    elif args.mode == "homogeneous":
-        result = exact_homog_search(coloring, universe, args.k)
+    elif args.mode in ("homogeneous", "min-homogeneous"):
+        search = exact_homog_search if args.mode == "homogeneous" else min_homog_search
+        result = search(coloring, universe, args.k)
         if result.witness is None:
-            print(f"no homogeneous subset of size {args.k} "
-                  f"(exhausted {result.examined} candidates)")
-            return VERIFY_FAILURE
-        witness = result.witness
-    elif args.mode == "min-homogeneous":
-        result = min_homog_search(coloring, universe, args.k)
-        if result.witness is None:
-            print(f"no min-homogeneous subset of size {args.k} "
+            print(f"no {args.mode} subset of size {args.k} "
                   f"(exhausted {result.examined} candidates)")
             return VERIFY_FAILURE
         witness = result.witness
@@ -245,6 +239,8 @@ def _cmd_verify(args) -> int:
     # run does not set itself is replayed from the recorded config.
     with open(args.witness, encoding="utf-8") as fh:
         recorded = json.load(fh).get("config") or {}
+    if not isinstance(recorded, dict):
+        raise ConfigError("the witness's config is not a JSON object")
     for key in _REPLAYED_KEYS:
         if key not in args.given and key in recorded:
             setattr(args, key, recorded[key])
@@ -253,10 +249,9 @@ def _cmd_verify(args) -> int:
     oracle = parse_oracle(args.oracle)
     programs = _load_programs(args.programs)
     coloring = parse_coloring(args.coloring, oracle, args.seed, programs)
-    if witness.kind == "min-homogeneous":
-        report = verify_min_homogeneous(witness.set, coloring)
-    else:
-        report = verify_exact_homogeneous(witness.set, coloring)
+    verify = (verify_min_homogeneous if witness.kind == "min-homogeneous"
+              else verify_exact_homogeneous)
+    report = verify(witness.set, coloring)
     if args.out:
         _write_json(args.out, report.to_dict())
     status = "pass" if report.passed else "fail"
@@ -445,10 +440,13 @@ def run_experiment(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Options given on the command line; config files and recorded
-    # witness configs only fill in the rest.
-    args.given = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                  for a in argv if a.startswith("--")}
+    # Options given on the command line, in any form argparse accepts
+    # (abbreviated, --opt=value): a second parse with the verb's defaults
+    # suppressed sets only those.  Config files and recorded witness
+    # configs only fill in the rest.
+    for action in args.option_actions.values():
+        action.default = argparse.SUPPRESS
+    args.given = set(vars(parser.parse_args(argv))) & set(args.option_actions)
     try:
         _apply_config(args)
         _require(args, *getattr(args, "required", ()))

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .decoders import _ApproxJumpOracle, _halts
-from .largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
+from .largesets import ExactlyLargeSet, FinSet
 from .machines import (
     OracleSet,
     ProgramSet,
@@ -88,19 +88,14 @@ class ExactColoring:
         return stage
 
     def __call__(self, s) -> int:
-        if self._prefix:
-            key = tuple(s)
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
+        # Only validated keys are stored, so the memo is read before validation.
+        key = s if type(s) is tuple else (
+            s.elems if isinstance(s, (ExactlyLargeSet, FinSet)) else tuple(s))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        if self._prefix or not isinstance(s, ExactlyLargeSet):
             s = ExactlyLargeSet(FinSet(self._prefix + key))
-        else:
-            if not isinstance(s, ExactlyLargeSet):
-                s = ExactlyLargeSet(s if isinstance(s, FinSet) else FinSet(s))
-            key = s.elems
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
         v = self._fn(s)
         self._check(s, v)
         if v < 0 or (self.palette is not None and v >= self.palette):
@@ -457,25 +452,6 @@ class NotMinHomogeneous(ValueError):
     with one minimum and different colors."""
 
 
-def _min_color_map(H: FinSet, c: ExactColoring):
-    """Induced per-minimum colors over exactly large subsets of H.
-    Raises NotMinHomogeneous on a violation, reporting the offending
-    pair."""
-    colors: dict[int, tuple] = {}
-    for s in enumerate_exactly_large(H):
-        m = s.min()
-        v = c(s)
-        prev = colors.get(m)
-        if prev is None:
-            colors[m] = (v, s)
-        elif prev[0] != v:
-            raise NotMinHomogeneous(
-                f"not min-homogeneous: {prev[1]} has color {prev[0]} "
-                f"but {s} has color {v}"
-            )
-    return {m: v for m, (v, _) in colors.items()}
-
-
 def rt_via_km(c: ExactColoring, H: FinSet) -> FinSet:
     """Thin a min-homogeneous set down to a homogeneous one.
 
@@ -485,7 +461,14 @@ def rt_via_km(c: ExactColoring, H: FinSet) -> FinSet:
     which cannot carry a counterexample.  Rejects H that is not
     min-homogeneous.
     """
-    induced = _min_color_map(H, c)
+    from .ramsey import verify_min_homogeneous  # ramsey imports this module
+
+    report = verify_min_homogeneous(H, c)
+    if not report.passed:
+        a, ca, b, cb = report.counterexample
+        raise NotMinHomogeneous(f"not min-homogeneous: {FinSet(a)} has color {ca} "
+                                f"but {FinSet(b)} has color {cb}")
+    induced = report.per_min
     count0 = sum(1 for v in induced.values() if v == 0)
     count1 = len(induced) - count0
     chosen = 0 if count0 >= count1 else 1

@@ -14,6 +14,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import NamedTuple, Optional
 
 from .colorings import ExactColoring, FiniteColoring
@@ -69,7 +70,10 @@ class Witness:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Witness":
-        per_min = d.get("per_min")
+        per_min = d.get("per_min") if isinstance(d, dict) else None
+        if not (isinstance(d, dict) and isinstance(d.get("set"), list) and "kind" in d
+                and isinstance(per_min, (dict, type(None)))):
+            raise ValueError("a witness needs a 'set' list, a 'kind' and a null or dict 'per_min'")
         return cls(
             set=FinSet(d["set"]),
             kind=d["kind"],
@@ -132,116 +136,131 @@ class VerifyReport:
         }
 
 
-def verify_exact_homogeneous(H: FinSet, c: ExactColoring) -> VerifyReport:
-    """Stream every exactly large subset of H and demand one color.
-    A set with no exactly large subsets passes vacuously."""
-    first = None
+def _verify(H: FinSet, c: ExactColoring, by_min: bool) -> VerifyReport:
+    kind = "min-homogeneous" if by_min else "homogeneous"
+    seen: dict = {}  # minimum (or None) -> (color, first set with it)
     checked = 0
     for s in enumerate_exactly_large(H):
         v = c(s)
         checked += 1
-        if first is None:
-            first = (s.elems, v)
-        elif v != first[1]:
-            return VerifyReport(
-                False, "homogeneous", checked,
-                counterexample=(first[0], first[1], s.elems, v),
-            )
-    return VerifyReport(
-        True, "homogeneous", checked, color=None if first is None else first[1]
-    )
+        key = s.min() if by_min else None
+        prev = seen.get(key)
+        if prev is None:
+            seen[key] = (v, s.elems)
+        elif prev[0] != v:
+            return VerifyReport(False, kind, checked,
+                                counterexample=(prev[1], prev[0], s.elems, v))
+    colors = {m: v for m, (v, _) in seen.items()}
+    return VerifyReport(True, kind, checked, color=None if by_min else colors.get(None),
+                        per_min=colors if by_min else None)
+
+
+def verify_exact_homogeneous(H: FinSet, c: ExactColoring) -> VerifyReport:
+    """Stream every exactly large subset of H and demand one color.
+    A set with no exactly large subsets passes vacuously."""
+    return _verify(H, c, by_min=False)
 
 
 def verify_min_homogeneous(H: FinSet, c: ExactColoring) -> VerifyReport:
     """Stream every exactly large subset of H and demand that color
     depend only on the minimum."""
-    seen: dict[int, tuple] = {}
-    checked = 0
-    for s in enumerate_exactly_large(H):
-        v = c(s)
-        checked += 1
-        prev = seen.get(s.min())
-        if prev is None:
-            seen[s.min()] = (v, s.elems)
-        elif prev[0] != v:
-            return VerifyReport(
-                False, "min-homogeneous", checked,
-                counterexample=(prev[1], prev[0], s.elems, v),
-            )
-    return VerifyReport(
-        True, "min-homogeneous", checked,
-        per_min={m: v for m, (v, _) in seen.items()},
-    )
+    return _verify(H, c, by_min=True)
 
 
 # ---------------------------------------------------------------------------
-# brute-force finite Ramsey
+# exhaustive search
+
+def _first_subset(elems: tuple, k: int, new_subsets, by_min: bool, c):
+    """The lexicographically first k-subset of elems on which c's colors
+    agree (one color per minimum when by_min, else one in all), as
+    (subset or None, examined, its colors keyed by minimum or None).
+
+    Agreement is hereditary, so a depth-first search over prefixes that
+    appends a larger element x colors only ``new_subsets(prefix, x)``,
+    the subsets containing x.  The k-subsets of a failing prefix are
+    skipped but counted, as a plain lexicographic scan counts them.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    n, examined = len(elems), 0
+    prefix, j = [], 0
+    stack = [(-1, {})]  # per prefix length: (index of its last element, colors)
+    while True:
+        p = len(prefix)
+        if p == k:
+            return tuple(prefix), examined + 1, stack[-1][1]
+        if j > n - k + p:
+            if not prefix:
+                return None, examined, None
+            prefix.pop()
+            j = stack.pop()[0] + 1
+            continue
+        x, colors = elems[j], stack[-1][1]
+        for s in new_subsets(prefix, x):
+            v, key = c(s), s[0] if by_min else None
+            want = colors.get(key)
+            if want is None:
+                colors = {**colors, key: v}
+            elif want != v:
+                examined += comb(n - j - 1, k - p - 1)
+                break
+        else:
+            prefix.append(x)
+            stack.append((j, colors))
+        j += 1
+
+
+def _exactly_large_ending(prefix, x):
+    """The exactly large subsets of prefix + [x] that contain x."""
+    if x == 0:
+        yield (0,)
+    for i, m in enumerate(prefix):
+        if 0 < m <= len(prefix) - i:
+            for combo in combinations(prefix[i + 1:], m - 1):
+                yield (m,) + combo + (x,)
+
 
 def brute_homogeneous(c: FiniteColoring, universe: FinSet, k: int) -> SearchResult:
-    """Exhaustive scan for a size-k subset monochromatic under c.
-
-    Returns the first witness in lexicographic order, or a None witness
-    with an exhaustiveness certificate.
-    """
+    """The lexicographically first size-k subset monochromatic under c,
+    or a None witness with an exhaustiveness certificate."""
     if k < c.dimension:
         raise ValueError(f"k={k} below coloring dimension {c.dimension}")
-    examined = 0
-    for cand in combinations(universe.elems, k):
-        examined += 1
-        color = None
-        ok = True
-        for sub in combinations(cand, c.dimension):
-            v = c(sub)
-            if color is None:
-                color = v
-            elif v != color:
-                ok = False
-                break
-        if ok:
-            w = Witness(
-                FinSet(cand), "homogeneous", color=color,
-                verified=True,
-                budget_used={"examined": examined, "k": k},
-            )
-            return SearchResult(w, examined, False)
-    return SearchResult(None, examined, True)
+
+    def tuples_ending(prefix, x):
+        return (sub + (x,) for sub in combinations(prefix, c.dimension - 1))
+
+    found, examined, colors = _first_subset(universe.elems, k, tuples_ending, False, c)
+    if found is None:
+        return SearchResult(None, examined, True)
+    w = Witness(FinSet(found), "homogeneous", color=colors[None], verified=True,
+                budget_used={"examined": examined, "k": k})
+    return SearchResult(w, examined, False)
+
+
+def _exact_search(c: ExactColoring, universe: FinSet, k: int, by_min: bool) -> SearchResult:
+    found, examined, _ = _first_subset(universe.elems, k, _exactly_large_ending, by_min, c)
+    if found is None:
+        return SearchResult(None, examined, True)
+    # The witness's colors and verified flag come from the verifier.
+    H = FinSet(found)
+    report = (verify_min_homogeneous if by_min else verify_exact_homogeneous)(H, c)
+    w = Witness(H, report.kind, color=report.color, per_min_colors=report.per_min,
+                verified=report.passed, budget_used={"examined": examined, "k": k})
+    return SearchResult(w, examined, False)
 
 
 def exact_homog_search(c: ExactColoring, universe: FinSet, k: int) -> SearchResult:
-    """Exhaustive scan for a size-k subset all of whose exactly large
-    subsets get one color under c."""
-    examined = 0
-    for cand in combinations(universe.elems, k):
-        examined += 1
-        report = verify_exact_homogeneous(FinSet(cand), c)
-        if report.passed:
-            w = Witness(
-                FinSet(cand), "homogeneous", color=report.color,
-                verified=True,
-                budget_used={"examined": examined, "k": k},
-            )
-            return SearchResult(w, examined, False)
-    return SearchResult(None, examined, True)
+    """The lexicographically first size-k subset all of whose exactly
+    large subsets get one color under c."""
+    return _exact_search(c, universe, k, by_min=False)
 
 
 def min_homog_search(c: ExactColoring, universe: FinSet, k: int) -> SearchResult:
-    """Exhaustive scan for a size-k subset whose exactly large subsets
-    get colors depending only on their minimum."""
+    """The lexicographically first size-k subset whose exactly large
+    subsets get colors depending only on their minimum."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    examined = 0
-    for cand in combinations(universe.elems, k):
-        examined += 1
-        report = verify_min_homogeneous(FinSet(cand), c)
-        if report.passed:
-            w = Witness(
-                FinSet(cand), "min-homogeneous",
-                per_min_colors=report.per_min,
-                verified=True,
-                budget_used={"examined": examined, "k": k},
-            )
-            return SearchResult(w, examined, False)
-    return SearchResult(None, examined, True)
+    return _exact_search(c, universe, k, by_min=True)
 
 
 # ---------------------------------------------------------------------------

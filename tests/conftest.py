@@ -20,8 +20,9 @@ def random_finite_coloring(seed, dimension, palette=2):
     )
 
 
-def random_exact_coloring(seed):
-    return ExactColoring(lambda s: crc_bit(seed, s.elems), name=f"rand:{seed}")
+def random_exact_coloring(seed, palette=2):
+    return ExactColoring(lambda s: crc_bit(seed, s.elems, palette), palette=palette,
+                         name=f"rand:{seed}")
 
 
 def random_regressive_coloring(seed):

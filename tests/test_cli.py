@@ -312,3 +312,35 @@ def test_reduce_rt_via_km_rejects_non_min_homogeneous(tmp_path, capsys):
     ])
     assert code == VERIFY_FAILURE
     assert "not min-homogeneous: {2,3,4} has color 1 but {2,3,5} has color 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [
+    "[]",
+    '{"set": [3, 4]}',
+    '{"kind": "homogeneous", "set": 5}',
+    '{"kind": "homogeneous", "set": [3, 4], "per_min": [1]}',
+    '{"kind": "homogeneous", "set": [3, 4], "config": 5}',
+])
+def test_malformed_witness_file_is_a_config_error(tmp_path, capsys, content):
+    w = tmp_path / "w.json"
+    w.write_text(content)
+    for argv in (["verify", "--witness", str(w), "--coloring", "parity-of-min"],
+                 ["decode", "--witness", str(w), "--query", "1,1"],
+                 ["reduce", "--direction", "rt-via-km", "--coloring", "parity-of-min",
+                  "--witness", str(w)]):
+        if "config" in content and argv[0] != "verify":
+            continue  # only verify reads the recorded config
+        assert run_experiment(argv) == CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_abbreviated_flags_count_as_given(tmp_path):
+    w = tmp_path / "w.json"
+    assert run_experiment([
+        "search", "--coloring", "random", "--seed", "2", "--universe", "interval:2..12",
+        "--k", "5", "--mode", "homogeneous", "--out-witness", str(w),
+    ]) == OK
+    # seed 0 colors the seed-2 witness inhomogeneously, however it is spelled
+    for flags in (["--seed", "0"], ["--seed=0"], ["--se", "0"], ["--se=0"]):
+        assert run_experiment(["verify", "--witness", str(w)] + flags) == VERIFY_FAILURE
+    assert run_experiment(["verify", "--witness", str(w)]) == OK

@@ -73,6 +73,23 @@ def test_exact_coloring_accepts_set_shapes():
         c(FinSet([3, 4]))
 
 
+def test_exact_coloring_rejects_bad_input_on_every_call():
+    # The memo is consulted before validation; a rejected input is never
+    # stored, so a repeat raises again, whatever its shape.
+    c = ExactColoring(lambda s: s.min() % 2)
+    stage = c.at_min(2)
+    off_palette = ExactColoring(lambda s: 2)
+    not_regressive = RegressiveColoring(lambda s: s.min())
+    for bad, coloring in [((3, 4), c), ([3, 4], c), (FinSet([3, 4]), c), ((2, 1), c),
+                          ((), c), ((4,), stage), ((5, 4), stage), ((1, 9), off_palette),
+                          (els(2, 3, 4), not_regressive)]:
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                coloring(bad)
+    assert c((1, 9)) == 1 and c(FinSet([1, 9])) == 1 and c(els(1, 9)) == 1
+    assert len(c._memo) == 1
+
+
 def test_regressive_coloring_guard():
     good = RegressiveColoring(lambda s: max(s.min() - 1, 0))
     assert good(els(3, 4, 5, 6)) == 2

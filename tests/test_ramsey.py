@@ -3,10 +3,10 @@ from bisect import bisect_right
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_finite_coloring, random_regressive_coloring
+from conftest import random_exact_coloring, random_finite_coloring, random_regressive_coloring
 
 from xlramsey.colorings import ExactColoring, FiniteColoring
 from xlramsey.largesets import FinSet
@@ -80,6 +80,84 @@ def test_brute_agrees_with_bitmask_oracle():
 def test_brute_validates_k():
     with pytest.raises(ValueError):
         brute_homogeneous(FiniteColoring(3, lambda t: 0), FinSet(range(6)), 2)
+
+
+# ---------------------------------------------------------------------------
+# the pruned searches against plain lexicographic scans
+
+def reference_scan(universe, k, accept):
+    """The plain scan the searches replace: every k-subset in
+    lexicographic order, each checked from scratch by accept, which
+    returns the candidate's colors or None.  Gives (witness set, colors,
+    examined, exhaustive)."""
+    examined = 0
+    for cand in combinations(universe.elems, k):
+        examined += 1
+        colors = accept(cand)
+        if colors is not None:
+            return cand, colors, examined, False
+    return None, None, examined, True
+
+
+def reference_exact(c, universe, k, verify):
+    def accept(cand):
+        report = verify(FinSet(cand), c)
+        return (report.color, report.per_min) if report.passed else None
+
+    return reference_scan(universe, k, accept)
+
+
+def reference_brute(c, universe, k):
+    def accept(cand):
+        colors = [c(sub) for sub in combinations(cand, c.dimension)]
+        return colors[0] if len(set(colors)) == 1 else None
+
+    return reference_scan(universe, k, accept)
+
+
+def search_outcome(res, colors):
+    w = res.witness
+    if w is not None:
+        assert w.verified and w.budget_used["examined"] == res.examined
+    return (None if w is None else w.set.elems, None if w is None else colors(w),
+            res.examined, res.exhaustive)
+
+
+# Universes that start at 0 and 1 hold the exactly large sets {0} and {1, x}.
+tiny_universes = st.sets(st.integers(0, 11), max_size=9).map(sorted).map(FinSet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), palette=st.integers(2, 3), regressive=st.booleans(),
+       universe=tiny_universes, k=st.integers(-1, 7), by_min=st.booleans())
+@example(seed=0, palette=2, regressive=True, universe=FinSet(range(2, 10)), k=6, by_min=True)
+@example(seed=5, palette=3, regressive=False, universe=FinSet(range(0, 9)), k=4, by_min=False)
+@example(seed=5, palette=2, regressive=False, universe=FinSet(range(0, 9)), k=7, by_min=False)
+def test_exact_searches_match_plain_scan(seed, palette, regressive, universe, k, by_min):
+    c = random_regressive_coloring(seed) if regressive else random_exact_coloring(seed, palette)
+    search, verify = ((min_homog_search, verify_min_homogeneous) if by_min
+                      else (exact_homog_search, verify_exact_homogeneous))
+    if k < (2 if by_min else 0):
+        with pytest.raises(ValueError):
+            search(c, universe, k)
+        return
+    got = search_outcome(search(c, universe, k),
+                         lambda w: (w.color, w.per_min_colors))
+    assert got == reference_exact(c, universe, k, verify)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(2, 4), palette=st.integers(2, 3),
+       universe=st.sets(st.integers(0, 15), max_size=10).map(sorted).map(FinSet),
+       k=st.integers(2, 7))
+def test_brute_homogeneous_matches_plain_scan(seed, dim, palette, universe, k):
+    c = random_finite_coloring(seed, dim, palette)
+    if k < dim:
+        with pytest.raises(ValueError):
+            brute_homogeneous(c, universe, k)
+        return
+    got = search_outcome(brute_homogeneous(c, universe, k), lambda w: w.color)
+    assert got == reference_brute(c, universe, k)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,15 @@ _SEARCH_KEYS = ["mode", "coloring", "oracle", "universe", "k", "start",
                 "max_candidates", "max_universe", "seed", "programs"]
 
 
+def _reject_unread(args, *dests) -> None:
+    # A flag the chosen mode never reads would be recorded in the witness
+    # as if it had shaped the search.
+    for dest in dests:
+        if dest in args.given:
+            flag = dest.replace("_", "-")
+            raise ConfigError(f"--{flag} has no effect in {args.mode} mode")
+
+
 def _cmd_search(args) -> int:
     oracle = parse_oracle(args.oracle)
     programs = _load_programs(args.programs)
@@ -205,9 +214,11 @@ def _cmd_search(args) -> int:
         max_universe=args.max_universe, max_candidates=args.max_candidates
     )
     if args.mode == "chain":
+        _reject_unread(args, "k")
         start = None if args.start in (None, "min") else int(args.start)
         witness = iterate_rtomega(coloring, universe, budget, start)
     elif args.mode in ("homogeneous", "min-homogeneous"):
+        _reject_unread(args, "max_candidates", "max_universe", "start")
         search = exact_homog_search if args.mode == "homogeneous" else min_homog_search
         result = search(coloring, universe, args.k)
         if result.witness is None:

@@ -468,9 +468,13 @@ def rt_via_km(c: ExactColoring, H: FinSet) -> FinSet:
         a, ca, b, cb = report.counterexample
         raise NotMinHomogeneous(f"not min-homogeneous: {FinSet(a)} has color {ca} "
                                 f"but {FinSet(b)} has color {cb}")
-    induced = report.per_min
+    return FinSet(_pigeonhole(H.elems, report.per_min)[0])
+
+
+def _pigeonhole(elems, induced: dict) -> tuple[list, int]:
+    """Thin elems to one induced color class: color 0 when at least half
+    of the induced colors are 0, else color 1.  Elements with no induced
+    color stay.  Returns the kept elements and the chosen color."""
     count0 = sum(1 for v in induced.values() if v == 0)
-    count1 = len(induced) - count0
-    chosen = 0 if count0 >= count1 else 1
-    kept = [x for x in H.elems if induced.get(x, chosen) == chosen]
-    return FinSet(kept)
+    chosen = 0 if count0 >= len(induced) - count0 else 1
+    return [x for x in elems if induced.get(x, chosen) == chosen], chosen

@@ -38,15 +38,13 @@ from .largesets import FinSet
 
 REGISTERS = 4
 
-_HALT, _INC, _DEC, _JZ, _QUERY = 0, 1, 2, 3, 4
-_OP_NAMES = {"HALT": _HALT, "INC": _INC, "DEC": _DEC, "JZ": _JZ, "QUERY": _QUERY}
-_OP_TEXT = {v: k for k, v in _OP_NAMES.items()}
-
-
-class Instr(NamedTuple):
-    op: str
-    reg: int = 0
-    off: int = 0
+# Opcodes in instruction-code order: code 0 is HALT, codes 1-12 are INC,
+# DEC and QUERY on registers 0-3, and codes from 13 on are JZ.  An
+# instruction is a triple (op, reg, off); operands an op does not read
+# are 0.
+HALT, INC, DEC, QUERY, JZ = range(5)
+_OPS = ("HALT", "INC", "DEC", "QUERY", "JZ")
+_ARITY = (0, 1, 1, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -105,70 +103,48 @@ def _unzigzag(z: int) -> int:
     return z // 2 if z % 2 == 0 else -(z + 1) // 2
 
 
-def _instr_code(ins: Instr) -> int:
-    op = ins.op
-    if not 0 <= ins.reg < REGISTERS:
-        raise ValueError(f"register out of range: {ins}")
-    if op == "HALT":
-        return 0
-    if op == "INC":
-        return 1 + ins.reg
-    if op == "DEC":
-        return 5 + ins.reg
-    if op == "QUERY":
-        return 9 + ins.reg
-    if op == "JZ":
-        return 13 + 4 * _zigzag(ins.off) + ins.reg
-    raise ValueError(f"unknown op: {op!r}")
+def _instr_code(ins: tuple) -> int:
+    op, reg, off = ins
+    return 0 if op == HALT else 1 + reg + 4 * (op - 1 + _zigzag(off))
 
 
-def _code_instr(c: int) -> Instr:
+def _code_instr(c: int) -> tuple:
     if c == 0:
-        return Instr("HALT")
-    if c <= 4:
-        return Instr("INC", c - 1)
-    if c <= 8:
-        return Instr("DEC", c - 5)
-    if c <= 12:
-        return Instr("QUERY", c - 9)
-    k = c - 13
-    return Instr("JZ", k % 4, _unzigzag(k // 4))
+        return (HALT, 0, 0)
+    q, reg = divmod(c - 1, 4)
+    return (q + 1, reg, 0) if q < 3 else (JZ, reg, _unzigzag(q - 3))
 
 
 class Program:
-    """An immutable instruction sequence with its numeric index."""
+    """An immutable instruction sequence with its numeric index.
 
-    __slots__ = ("instructions", "_compiled")
+    Instructions are (op, reg, off) triples of integers, op one of HALT,
+    INC, DEC, QUERY, JZ; the machine runs them as they are.
+    """
 
-    def __init__(self, instructions: Iterable[Instr] = ()):
-        ins = tuple(
-            i if isinstance(i, Instr) else Instr(*i) for i in instructions
-        )
+    __slots__ = ("instructions",)
+
+    def __init__(self, instructions: Iterable[tuple] = ()):
+        ins = tuple(tuple(i) for i in instructions)
         for i in ins:
-            _instr_code(i)  # validates op and register
+            if len(i) != 3 or i[0] not in range(len(_OPS)):
+                raise ValueError(f"not an (op, reg, off) instruction: {i!r}")
+            op, reg, off = i
+            if not 0 <= reg < REGISTERS:
+                raise ValueError(f"register out of range: {_OPS[op]} {reg}")
+            if any((reg, off)[_ARITY[op]:]):
+                raise ValueError(f"{_OPS[op]} takes {_ARITY[op]} operand(s): {i!r}")
         self.instructions = ins
-        self._compiled = tuple(
-            (_OP_NAMES[i.op], i.reg, i.off) for i in ins
-        )
-
-    @property
-    def compiled(self):
-        return self._compiled
 
     @property
     def index(self) -> int:
         return encode_program(self)
 
     def render(self) -> str:
-        lines = []
-        for i in self.instructions:
-            if i.op == "HALT":
-                lines.append("HALT")
-            elif i.op == "JZ":
-                lines.append(f"JZ {i.reg} {i.off}")
-            else:
-                lines.append(f"{i.op} {i.reg}")
-        return "\n".join(lines)
+        return "\n".join(
+            " ".join(map(str, (_OPS[op], reg, off)[: 1 + _ARITY[op]]))
+            for op, reg, off in self.instructions
+        )
 
     @classmethod
     def parse(cls, text: str) -> "Program":
@@ -177,16 +153,12 @@ class Program:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            op = parts[0].upper()
-            if op == "HALT":
-                ins.append(Instr("HALT"))
-            elif op == "JZ":
-                ins.append(Instr("JZ", int(parts[1]), int(parts[2])))
-            elif op in ("INC", "DEC", "QUERY"):
-                ins.append(Instr(op, int(parts[1])))
-            else:
+            name, *operands = line.split()
+            op = _OPS.index(name.upper()) if name.upper() in _OPS else None
+            if op is None or len(operands) != _ARITY[op]:
                 raise ValueError(f"bad instruction: {raw!r}")
+            reg, off = [int(v) for v in operands] + [0] * (2 - len(operands))
+            ins.append((op, reg, off))
         return cls(ins)
 
     def __eq__(self, other) -> bool:
@@ -199,7 +171,8 @@ class Program:
         return len(self.instructions)
 
     def __repr__(self) -> str:
-        return f"Program({list(self.instructions)!r})"
+        body = ", ".join(f"({_OPS[op]}, {reg}, {off})" for op, reg, off in self.instructions)
+        return f"Program([{body}])"
 
 
 def encode_program(program: Program) -> int:
@@ -210,7 +183,10 @@ def encode_program(program: Program) -> int:
 def decode_program(e: int) -> Program:
     if e < 0:
         raise ValueError("index must be a natural")
-    return Program(_code_instr(c) for c in decode_list(e))
+    # Every code decodes to a valid instruction, so no check is needed.
+    program = Program.__new__(Program)
+    program.instructions = tuple(map(_code_instr, decode_list(e)))
+    return program
 
 
 def load_program_universe(path) -> list[Program]:
@@ -390,14 +366,14 @@ class RunOutcome(NamedTuple):
         return self.value is not None
 
 
-def _simulate(compiled, oracle: OracleSet, x: int, step_cap: int, value_cap: int):
+def _simulate(instructions, oracle: OracleSet, x: int, step_cap: int, value_cap: int):
     """Run until HALT, detected divergence, or a cap.
 
     Returns (status, steps, maxval, y) with status one of "halt",
     "diverge" (pc left the program or the state cycled), or "cap"
     (step or value cap reached; behavior beyond is unknown).
     """
-    n = len(compiled)
+    n = len(instructions)
     r = [x, 0, 0, 0]
     pc = 0
     steps = 0
@@ -412,11 +388,11 @@ def _simulate(compiled, oracle: OracleSet, x: int, step_cap: int, value_cap: int
             return ("diverge", steps, maxval, None)
         if steps >= step_cap:
             return ("cap", steps, maxval, None)
-        op, reg, off = compiled[pc]
+        op, reg, off = instructions[pc]
         steps += 1
-        if op == _HALT:
+        if op == HALT:
             return ("halt", steps, maxval, r[0])
-        if op == _INC:
+        if op == INC:
             v = r[reg] + 1
             if v > value_cap:
                 return ("cap", steps, maxval, None)
@@ -424,13 +400,13 @@ def _simulate(compiled, oracle: OracleSet, x: int, step_cap: int, value_cap: int
             if v > maxval:
                 maxval = v
             pc += 1
-        elif op == _DEC:
+        elif op == DEC:
             if r[reg]:
                 r[reg] -= 1
             pc += 1
-        elif op == _JZ:
+        elif op == JZ:
             pc = pc + off if r[reg] == 0 else pc + 1
-        else:  # _QUERY
+        else:  # QUERY
             v = 1 if oracle.member(r[reg]) else 0
             if v > value_cap:
                 return ("cap", steps, maxval, None)
@@ -458,7 +434,7 @@ def run_bounded(e: int, oracle: OracleSet, x: int, s: int) -> RunOutcome:
     if s <= 0 or e >= s or x >= s:
         return RunOutcome(None, 0, x)
     status, steps, maxval, y = _simulate(
-        decode_program(e).compiled, oracle, x, s - 1, s - 1
+        decode_program(e).instructions, oracle, x, s - 1, s - 1
     )
     if status == "halt":
         return RunOutcome(y, steps, maxval)
@@ -493,7 +469,7 @@ def halt_threshold(e: int, oracle: OracleSet, x: int, cap: int) -> Optional[int]
     if cap <= 0:
         return None
     status, steps, maxval, y = _simulate(
-        decode_program(e).compiled, oracle, x, cap - 1, cap - 1
+        decode_program(e).instructions, oracle, x, cap - 1, cap - 1
     )
     if status == "halt":
         tau = max(e, x, y, steps, maxval) + 1
@@ -560,56 +536,35 @@ def jump_pairs_approx(oracle: OracleSet, s: int, programs=None) -> FinSet:
     Monotone nondecreasing in s.  ``programs`` optionally restricts the
     contributing indices e to a curated finite list.
     """
-    okey = oracle.key
-    ckey = None
-    if okey is not None:
-        ckey = ("jp", okey, s, _programs_token(programs))
-        with _JUMP_LOCK:
-            hit = _JUMP_CACHE.get(ckey)
-        if hit is not None:
-            return hit
-    codes = set()
-    es = range(s) if programs is None else [e for e in programs if 0 <= e < s]
-    for e in es:
-        for m in range(s):
-            tau = halt_threshold(e, oracle, m, s - 1) if s > 0 else None
-            if tau is not None:
-                codes.add(pair(m, e))
-    result = FinSet(sorted(codes))
-    if ckey is not None:
-        with _JUMP_LOCK:
-            _JUMP_CACHE[ckey] = result
-    return result
-
-
-def _code_in_jump(oracle: OracleSet, s: int, c: int, programs=None) -> bool:
-    # Probe every decomposition c = pair(m, e) = m(m+1)/2 + e.
-    m = 0
-    while m * (m + 1) // 2 <= c:
-        e = c - m * (m + 1) // 2
-        if programs is None or e in programs:
-            tau = halt_threshold(e, oracle, m, s - 1) if s > 0 else None
-            if tau is not None:
-                return True
-        m += 1
-    return False
+    return jump_codes_below(oracle, s, pair(s, 0), programs)
 
 
 def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> FinSet:
-    """The stage-s pair-coded jump restricted below a code bound,
-    computed by probing code decompositions instead of scanning the
-    whole index range.  Agrees with jump_pairs_approx on the bound."""
+    """The stage-s pair-coded jump restricted to codes below ``bound``.
+
+    Only m, e < s can halt under bound s - 1, so the loop visits the
+    pairs (m, e) with m, e < s and code pair(m, e) < bound, and every
+    code lies below pair(s, 0); the cache key clips the bound there.
+    """
+    bound = min(bound, pair(s, 0))
     okey = oracle.key
     ckey = None
     if okey is not None:
-        ckey = ("jb", okey, s, bound, _programs_token(programs))
+        ckey = ("jp", okey, s, bound, _programs_token(programs))
         with _JUMP_LOCK:
             hit = _JUMP_CACHE.get(ckey)
         if hit is not None:
             return hit
-    progset = None if programs is None else frozenset(programs)
-    members = [c for c in range(bound) if _code_in_jump(oracle, s, c, progset)]
-    result = FinSet(members)
+    es = range(s) if programs is None else sorted(e for e in set(programs) if 0 <= e < s)
+    codes = set()
+    for m in range(s):
+        base = pair(m, 0)
+        for e in es:
+            if base + e >= bound:
+                break
+            if halt_threshold(e, oracle, m, s - 1) is not None:
+                codes.add(base + e)
+    result = FinSet(sorted(codes))
     if ckey is not None:
         with _JUMP_LOCK:
             _JUMP_CACHE[ckey] = result
@@ -680,7 +635,7 @@ def jump_halt0(oracle: OracleSet, cutoff: int) -> CutoffJumpOracle:
 @lru_cache(maxsize=1)
 def _query_loop_program() -> Program:
     # Halts on input m iff m is in the oracle; otherwise spins forever.
-    return Program([Instr("QUERY", 0), Instr("JZ", 0, 0), Instr("HALT")])
+    return Program([(QUERY, 0, 0), (JZ, 0, 0), (HALT, 0, 0)])
 
 
 def query_loop_index() -> int:
@@ -712,7 +667,5 @@ def mone_reduction(i: int, j: int, m: int, flavor: str = "pair") -> int:
                 raise ValueError(
                     f"halt0 reduction of {m} exceeds the desk-scale program size limit"
                 )
-            body = [Instr("INC", 0)] * m
-            body += [Instr("QUERY", 0), Instr("JZ", 0, 0), Instr("HALT")]
-            m = Program(body).index
+            m = Program(((INC, 0, 0),) * m + _query_loop_program().instructions).index
     return m

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
 
-from .colorings import ExactColoring, FiniteColoring
+from .colorings import ExactColoring, FiniteColoring, _pigeonhole
 from .largesets import FinSet, enumerate_exactly_large
 
 
@@ -400,17 +400,21 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
     return PathResult(FinSet(best), not truncated, expanded)
 
 
-def _restricted_coloring(c: FiniteColoring, path: tuple) -> FiniteColoring:
-    """Treat a coloring along a branch as one dimension lower: finish
-    each tuple with the next branch element above it.  Sound because the
-    branch makes colors independent of the last element."""
+class _Restricted:
+    """A coloring along a branch read one dimension lower: each tuple is
+    finished with the next branch element above it and colored by the
+    coloring beneath.  Sound because the branch makes colors independent
+    of the last element.  Keeps no memo: the coloring beneath has one,
+    and it validates the finished tuple on a miss."""
 
-    def fn(tpl):
-        i = bisect_right(path, tpl[-1])
-        return c(tpl + (path[i],))
+    __slots__ = ("c", "path", "dimension")
 
-    return FiniteColoring(c.dimension - 1, fn, palette=c.palette,
-                          name=f"{c.name}|path")
+    def __init__(self, c, path: tuple):
+        self.c, self.path, self.dimension = c, path, c.dimension - 1
+
+    def __call__(self, tpl) -> int:
+        tpl = tuple(tpl)
+        return self.c(tpl + (self.path[bisect_right(self.path, tpl[-1])],))
 
 
 def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
@@ -489,7 +493,7 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
                          "path_len": len(path), "path_stable": pr.stable},
         )
     inner = f_a_extract(
-        a - 1, _restricted_coloring(c, path), FinSet(path[:-1]), target, budget
+        a - 1, _Restricted(c, path), FinSet(path[:-1]), target, budget
     )
     chosen = _greedy_extend(c, inner.set, inner.color, FinSet(elems), target)
     recheck = all(
@@ -553,10 +557,7 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
         if not current:
             break
 
-    count0 = sum(1 for v in stage_colors.values() if v == 0)
-    count1 = len(stage_colors) - count0
-    chosen = 0 if count0 >= count1 else 1
-    thinned = [x for x in chain if stage_colors.get(x, chosen) == chosen]
+    thinned, chosen = _pigeonhole(chain, stage_colors)
     result = FinSet(thinned)
     report = verify_exact_homogeneous(result, c)
     return Witness(

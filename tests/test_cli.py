@@ -344,3 +344,34 @@ def test_abbreviated_flags_count_as_given(tmp_path):
     for flags in (["--seed", "0"], ["--seed=0"], ["--se", "0"], ["--se=0"]):
         assert run_experiment(["verify", "--witness", str(w)] + flags) == VERIFY_FAILURE
     assert run_experiment(["verify", "--witness", str(w)]) == OK
+
+
+@pytest.mark.parametrize("block", ["JZ 1", "INC", "INC 0 5", "HALT 3"])
+def test_malformed_program_text_is_a_config_error(tmp_path, capsys, block):
+    progs = tmp_path / "programs.txt"
+    progs.write_text(f"1\n\n{block}\nHALT\n")
+    code = run_experiment([
+        "search", "--coloring", "dh", "--universe", "evens:2..12",
+        "--programs", str(progs),
+    ])
+    assert code == CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("homogeneous", ["--max-candidates", "1", "--max-universe", "3"]),
+    ("homogeneous", ["--max-universe", "3"]),
+    ("min-homogeneous", ["--start", "3"]),
+    ("chain", ["--k", "6"]),
+])
+def test_search_flags_the_mode_never_reads_are_config_errors(tmp_path, capsys, mode, flags):
+    argv = ["search", "--mode", mode, "--coloring", "random:5",
+            "--universe", "interval:2..20"] + (["--k", "6"] if mode != "chain" else [])
+    assert run_experiment(argv + flags) == CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: --")
+    # the same value from a config file
+    key, value = flags[0][2:], flags[1]
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\n{key} = {value}\n")
+    assert run_experiment(argv + ["--config", str(cfg)]) == CONFIG_ERROR
+    assert run_experiment(argv) == OK

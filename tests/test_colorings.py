@@ -29,8 +29,10 @@ from xlramsey.decoders import mn_raw
 from xlramsey.largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
 from xlramsey.machines import (
     EMPTY,
+    DEC,
+    HALT,
+    JZ,
     ExplicitOracle,
-    Instr,
     Program,
     halt_threshold,
     jump_halt0,
@@ -38,9 +40,7 @@ from xlramsey.machines import (
 )
 from xlramsey.ramsey import exact_homog_search, verify_min_homogeneous
 
-ZERO_PROG = Program([
-    Instr("JZ", 0, 3), Instr("DEC", 0), Instr("JZ", 3, -2), Instr("HALT"),
-])
+ZERO_PROG = Program([(JZ, 0, 3), (DEC, 0, 0), (JZ, 3, -2), (HALT, 0, 0)])
 
 DIVERGERS = (0, 2, 4, 7, 9)  # indices that never halt on any input
 

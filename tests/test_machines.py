@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from xlramsey import machines
 from xlramsey.largesets import FinSet
 from xlramsey.machines import (
+    DEC,
     EMPTY,
+    HALT,
+    INC,
+    JZ,
+    QUERY,
     ExplicitOracle,
     FuncOracle,
-    Instr,
     JoinOracle,
     JumpStageSpec,
     Program,
@@ -35,17 +39,17 @@ from xlramsey.machines import (
 HALT_INDEX = 1  # encode([HALT])
 
 ZERO_PROG = Program([
-    Instr("JZ", 0, 3), Instr("DEC", 0), Instr("JZ", 3, -2), Instr("HALT"),
+    (JZ, 0, 3), (DEC, 0, 0), (JZ, 3, -2), (HALT, 0, 0),
 ])
 
 # Answers "is 5 in the oracle": clears r0, builds 5 in r1, queries, moves
 # the answer to r0.
 QUERY5_PROG = Program([
-    Instr("JZ", 0, 3), Instr("DEC", 0), Instr("JZ", 3, -2),
-    Instr("INC", 1), Instr("INC", 1), Instr("INC", 1), Instr("INC", 1), Instr("INC", 1),
-    Instr("QUERY", 1),
-    Instr("JZ", 1, 2), Instr("INC", 0),
-    Instr("HALT"),
+    (JZ, 0, 3), (DEC, 0, 0), (JZ, 3, -2),
+    (INC, 1, 0), (INC, 1, 0), (INC, 1, 0), (INC, 1, 0), (INC, 1, 0),
+    (QUERY, 1, 0),
+    (JZ, 1, 2), (INC, 0, 0),
+    (HALT, 0, 0),
 ])
 
 
@@ -54,15 +58,15 @@ def random_program(rng, max_len=6):
     for _ in range(rng.randrange(0, max_len)):
         kind = rng.randrange(5)
         if kind == 0:
-            ops.append(Instr("HALT"))
+            ops.append((HALT, 0, 0))
         elif kind == 1:
-            ops.append(Instr("INC", rng.randrange(4)))
+            ops.append((INC, rng.randrange(4), 0))
         elif kind == 2:
-            ops.append(Instr("DEC", rng.randrange(4)))
+            ops.append((DEC, rng.randrange(4), 0))
         elif kind == 3:
-            ops.append(Instr("QUERY", rng.randrange(4)))
+            ops.append((QUERY, rng.randrange(4), 0))
         else:
-            ops.append(Instr("JZ", rng.randrange(4), rng.randrange(-4, 5)))
+            ops.append((JZ, rng.randrange(4), rng.randrange(-4, 5)))
     return Program(ops)
 
 
@@ -94,7 +98,7 @@ def test_pair_of_unpair_prefix():
 
 def test_program_coding_base_cases():
     assert decode_program(0) == Program([])
-    assert encode_program(Program([Instr("HALT")])) == HALT_INDEX
+    assert encode_program(Program([(HALT, 0, 0)])) == HALT_INDEX
 
 
 def test_program_coding_roundtrip_random():
@@ -111,10 +115,12 @@ def test_program_text_roundtrip():
     p = Program.parse(text)
     assert p.render() == text
     assert Program.parse(p.render()) == p
-    with pytest.raises(ValueError):
-        Program.parse("BLORP 1")
-    with pytest.raises(ValueError):
-        Program([Instr("INC", 9)])
+    for bad in ("BLORP 1", "JZ 1", "INC", "INC 0 5", "HALT 3", "INC x"):
+        with pytest.raises(ValueError):
+            Program.parse(bad)
+    for bad in ((INC, 9, 0), (INC, 0, 5), (HALT, 3, 0), (5, 0, 0), ("INC", 0, 0), (INC, 0)):
+        with pytest.raises(ValueError):
+            Program([bad])
 
 
 def test_program_universe_file(tmp_path):
@@ -124,8 +130,29 @@ def test_program_universe_file(tmp_path):
 
     programs = load_program_universe(path)
     assert programs[0] == decode_program(17)
-    assert programs[1] == Program([Instr("INC", 0), Instr("HALT")])
-    assert programs[2] == Program([Instr("HALT")])
+    assert programs[1] == Program([(INC, 0, 0), (HALT, 0, 0)])
+    assert programs[2] == Program([(HALT, 0, 0)])
+
+
+instructions = st.one_of(
+    st.just((HALT, 0, 0)),
+    st.tuples(st.sampled_from((INC, DEC, QUERY)), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just(JZ), st.integers(0, 3), st.integers(-40, 40)),
+)
+programs_st = st.lists(instructions, max_size=8).map(Program)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.integers(0, 10 ** 30))
+def test_encode_inverts_decode(e):
+    assert encode_program(decode_program(e)) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=programs_st)
+def test_decode_inverts_encode_and_text_round_trips(p):
+    assert decode_program(encode_program(p)) == p
+    assert Program.parse(p.render()) == p
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +209,32 @@ def test_run_bounded_oracle_use_locality():
         a = run_bounded(e, full, x, s)
         b = run_bounded(e, trimmed, x, s)
         assert (a.halted, a.value) == (b.halted, b.value)
+
+
+run_args = dict(
+    e=st.integers(0, 20000), x=st.integers(0, 10), s=st.integers(0, 80),
+    members=st.frozensets(st.integers(0, 200), max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extra=st.integers(1, 200), **run_args)
+def test_run_bounded_monotone_property(e, x, s, members, extra):
+    oracle = ExplicitOracle(members)
+    out = run_bounded(e, oracle, x, s)
+    if out.halted:
+        later = run_bounded(e, oracle, x, s + extra)
+        assert later.halted and later.value == out.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(other=st.frozensets(st.integers(0, 200), max_size=8), **run_args)
+def test_run_bounded_locality_property(e, x, s, members, other):
+    # oracles that agree below s give the same outcome under bound s
+    a = run_bounded(e, ExplicitOracle(members), x, s)
+    mixed = {m for m in members if m < s} | {m for m in other if m >= s}
+    b = run_bounded(e, ExplicitOracle(mixed), x, s)
+    assert (a.halted, a.value) == (b.halted, b.value)
 
 
 def test_divergence_detected_quickly():
@@ -348,6 +401,35 @@ def test_jump_pairs_approx_monotone_property(elems, s, programs):
     oracle = ExplicitOracle(elems)
     lower = jump_pairs_approx(oracle, s, programs)
     assert lower.issubset(jump_pairs_approx(oracle, s + 1, programs))
+
+
+def code_in_jump(oracle, s, c, programs=None):
+    # Reference: probe every decomposition c = pair(m, e) = m(m+1)/2 + e.
+    m = 0
+    while m * (m + 1) // 2 <= c:
+        e = c - m * (m + 1) // 2
+        if programs is None or e in programs:
+            tau = halt_threshold(e, oracle, m, s - 1) if s > 0 else None
+            if tau is not None:
+                return True
+        m += 1
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(elems=small_sets, s=st.integers(0, 14), bound=st.integers(-2, 120),
+       programs=program_lists)
+def test_jump_loop_matches_probe_reference(elems, s, bound, programs):
+    oracle = ExplicitOracle(elems)
+    progset = None if programs is None else set(programs)
+    clear_caches()
+    want = FinSet(c for c in range(bound) if code_in_jump(oracle, s, c, progset))
+    clear_caches()
+    assert jump_codes_below(oracle, s, bound, programs) == want
+    full = FinSet(c for c in range(pair(s, 0)) if code_in_jump(oracle, s, c, progset))
+    assert jump_pairs_approx(oracle, s, programs) == full
+    # the unkeyed path runs the same loop
+    assert jump_codes_below(FuncOracle(oracle.member), s, bound, programs) == want
 
 
 def test_clear_caches_forgets_content_tokens():

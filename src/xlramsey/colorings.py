@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
 
-from .decoders import _ApproxJumpOracle, _halts
+from .decoders import _ApproxJumpOracle, _halts, _no_threshold_in
 from .largesets import ExactlyLargeSet, FinSet
 from .machines import (
     OracleSet,
@@ -296,15 +296,11 @@ def c2_coloring(A: OracleSet, direction: str = "capture") -> FiniteColoring:
 
     def fn(tpl):
         k, y, z = tpl
+        if direction == "capture":
+            return 1 if _no_threshold_in(k, A, y, z) else 0
         for e in range(k + 1):
-            hy = _halts(e, A, y)
-            hz = _halts(e, A, z)
-            if direction == "literal":
-                if hy and not hz:
-                    return 0
-            else:
-                if hz and not hy:
-                    return 0
+            if _halts(e, A, y) and not _halts(e, A, z):
+                return 0
         return 1
 
     return FiniteColoring(3, fn, name=f"c2[{direction}]")
@@ -318,17 +314,14 @@ def cn_from(prev: FiniteColoring, A: OracleSet) -> FiniteColoring:
     dim = prev.dimension + 1
 
     def fn(tpl):
-        colors = {prev(sub) for sub in combinations(tpl, prev.dimension)}
-        if len(colors) > 1:
+        subs = combinations(tpl, prev.dimension)
+        first = prev(next(subs))
+        if any(prev(sub) != first for sub in subs):
             return 0
-        a1, a2, a3 = tpl[0], tpl[1], tpl[2]
         # The approximating oracle runs the decoder one level below the
         # coloring being built, on the tail tuple.
         y = _ApproxJumpOracle(prev.dimension - 1, tpl[1:], A)
-        for e in range(a1 + 1):
-            if _halts(e, y, a3) and not _halts(e, y, a2):
-                return 0
-        return 1
+        return 1 if _no_threshold_in(tpl[0], y, tpl[1], tpl[2]) else 0
 
     return FiniteColoring(dim, fn, name=f"c{dim - 1}")
 

@@ -47,6 +47,20 @@ def _halts(e: int, oracle: OracleSet, bound: int) -> bool:
     return tau is not None and tau <= bound
 
 
+def _no_threshold_in(k: int, oracle: OracleSet, lo: int, hi: int) -> bool:
+    """True when no index e <= k halts on input 0 under bound hi but not
+    under bound lo, that is, none has its threshold in (lo, hi].
+
+    The threshold is the least halting bound, so one call per index at
+    bound hi answers both bounds.
+    """
+    for e in range(k + 1):
+        tau = halt_threshold(e, oracle, 0, hi)
+        if tau is not None and tau > lo:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class DecodeVerdict:
     """One decoded membership answer.

@@ -28,7 +28,6 @@ are cut off at the requested bound.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -120,9 +119,11 @@ class Program:
 
     Instructions are (op, reg, off) triples of integers, op one of HALT,
     INC, DEC, QUERY, JZ; the machine runs them as they are.
+    ``query_free`` is true when no instruction is a QUERY, so the program
+    runs the same under every oracle.
     """
 
-    __slots__ = ("instructions",)
+    __slots__ = ("instructions", "query_free")
 
     def __init__(self, instructions: Iterable[tuple] = ()):
         ins = tuple(tuple(i) for i in instructions)
@@ -134,7 +135,11 @@ class Program:
                 raise ValueError(f"register out of range: {_OPS[op]} {reg}")
             if any((reg, off)[_ARITY[op]:]):
                 raise ValueError(f"{_OPS[op]} takes {_ARITY[op]} operand(s): {i!r}")
+        self._hold(ins)
+
+    def _hold(self, ins: tuple) -> None:
         self.instructions = ins
+        self.query_free = all(op != QUERY for op, _, _ in ins)
 
     @property
     def index(self) -> int:
@@ -185,7 +190,7 @@ def decode_program(e: int) -> Program:
         raise ValueError("index must be a natural")
     # Every code decodes to a valid instruction, so no check is needed.
     program = Program.__new__(Program)
-    program.instructions = tuple(map(_code_instr, decode_list(e)))
+    program._hold(tuple(map(_code_instr, decode_list(e))))
     return program
 
 
@@ -213,7 +218,6 @@ def load_program_universe(path) -> list[Program]:
 # ---------------------------------------------------------------------------
 # oracles
 
-_REGISTRY_LOCK = threading.Lock()
 _CONTENT_TOKENS: dict[tuple, int] = {}
 # Never restarts, so a token handed out before clear_caches (such as the
 # one in EMPTY's key) is never handed out again for other contents.
@@ -221,13 +225,12 @@ _NEXT_TOKEN = itertools.count()
 
 
 def _content_token(elems: tuple) -> int:
-    # Interns set contents so cache keys hash in O(1).
-    with _REGISTRY_LOCK:
-        tok = _CONTENT_TOKENS.get(elems)
-        if tok is None:
-            tok = next(_NEXT_TOKEN)
-            _CONTENT_TOKENS[elems] = tok
-        return tok
+    # Interns set contents so cache keys hash in O(1).  setdefault is
+    # atomic, so threads racing on new contents agree on one token.
+    tok = _CONTENT_TOKENS.get(elems)
+    if tok is None:
+        tok = _CONTENT_TOKENS.setdefault(elems, next(_NEXT_TOKEN))
+    return tok
 
 
 class OracleSet:
@@ -286,25 +289,6 @@ class FuncOracle(OracleSet):
         return self._key
 
 
-class JoinOracle(OracleSet):
-    """Join of two oracles: left on evens, right on odds."""
-
-    def __init__(self, left: OracleSet, right: OracleSet):
-        self.left, self.right = left, right
-
-    def member(self, n: int) -> bool:
-        if n % 2 == 0:
-            return self.left.member(n // 2)
-        return self.right.member(n // 2)
-
-    @property
-    def key(self):
-        kl, kr = self.left.key, self.right.key
-        if kl is None or kr is None:
-            return None
-        return ("join", kl, kr)
-
-
 class CutoffJumpOracle(OracleSet):
     """Halt-on-0 jump with cutoff semantics: e is in iff {e} with the
     base oracle halts on input 0 under the cutoff bound."""
@@ -314,40 +298,18 @@ class CutoffJumpOracle(OracleSet):
             raise ValueError("cutoff must be positive")
         self.base, self.cutoff = base, cutoff
         self._memo: dict[int, bool] = {}
-        self._lock = threading.Lock()
 
     def member(self, e: int) -> bool:
-        with self._lock:
-            if e in self._memo:
-                return self._memo[e]
-        tau = halt_threshold(e, self.base, 0, self.cutoff)
-        ans = tau is not None and tau <= self.cutoff
-        with self._lock:
-            self._memo[e] = ans
+        ans = self._memo.get(e)
+        if ans is None:
+            tau = halt_threshold(e, self.base, 0, self.cutoff)
+            ans = self._memo[e] = tau is not None and tau <= self.cutoff
         return ans
 
     @property
     def key(self):
         kb = self.base.key
         return None if kb is None else ("halt0", kb, self.cutoff)
-
-
-class DomainStageOracle(OracleSet):
-    """Stage-s domain of program i over a base oracle."""
-
-    def __init__(self, i: int, base: OracleSet, s: int):
-        self.i, self.base, self.s = i, base, s
-
-    def member(self, m: int) -> bool:
-        if self.s <= 0:
-            return False
-        tau = halt_threshold(self.i, self.base, m, self.s)
-        return tau is not None and tau <= self.s
-
-    @property
-    def key(self):
-        kb = self.base.key
-        return None if kb is None else ("dom", self.i, kb, self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -441,45 +403,43 @@ def run_bounded(e: int, oracle: OracleSet, x: int, s: int) -> RunOutcome:
     return RunOutcome(None, steps, maxval)
 
 
-_THRESHOLD_LOCK = threading.Lock()
 _THRESHOLD_CACHE: dict[tuple, tuple[int, Optional[int]]] = {}
 # key -> (checked_cap, tau); tau None means "no halt found up to checked_cap".
-# checked_cap == -1 marks a definite diverger (valid at every cap).
+# checked_cap == -1 marks a definite diverger (valid at every cap).  A
+# query-free program is keyed (e, x), a querying one (oracle key, e, x).
+# The caches take no lock: every entry is a true fact about its run, so a
+# write lost to a racing thread only costs a later re-simulation.
 
 
 def halt_threshold(e: int, oracle: OracleSet, x: int, cap: int) -> Optional[int]:
     """Least bound s <= cap under which run_bounded(e, oracle, x, s)
-    halts, or None if there is none up to cap.
+    halts, or None if there is none up to cap (always None for cap <= 0).
 
     The threshold is max(e, x, y, steps, values) + 1 for a halting run,
-    so one simulation answers every bound at once; results are memoized
-    per (oracle key, e, x) when the oracle is keyable.
+    so one simulation answers every bound at once.  Results are memoized
+    per (e, x) when program e has no QUERY instruction, since the run
+    then never reads the oracle, and per (oracle key, e, x) otherwise
+    when the oracle is keyable.
     """
-    okey = oracle.key
-    mkey = None if okey is None else (okey, e, x)
-    if mkey is not None:
-        with _THRESHOLD_LOCK:
-            hit = _THRESHOLD_CACHE.get(mkey)
-        if hit is not None:
-            checked, tau = hit
-            if tau is not None:
-                return tau if tau <= cap else None
-            if checked == -1 or checked >= cap:
-                return None
     if cap <= 0:
         return None
-    status, steps, maxval, y = _simulate(
-        decode_program(e).instructions, oracle, x, cap - 1, cap - 1
-    )
-    if status == "halt":
-        tau = max(e, x, y, steps, maxval) + 1
-        entry = (cap, tau)
-    elif status == "diverge":
-        entry = (-1, None)
-    else:
-        entry = (cap, None)
-    if mkey is not None:
-        with _THRESHOLD_LOCK:
+    mkey = (e, x)
+    entry = _THRESHOLD_CACHE.get(mkey)
+    if entry is None and not decode_program(e).query_free:
+        okey = oracle.key
+        mkey = None if okey is None else (okey, e, x)
+        entry = _THRESHOLD_CACHE.get(mkey)
+    if entry is None or (entry[1] is None and 0 <= entry[0] < cap):
+        status, steps, maxval, y = _simulate(
+            decode_program(e).instructions, oracle, x, cap - 1, cap - 1
+        )
+        if status == "halt":
+            entry = (cap, max(e, x, y, steps, maxval) + 1)
+        elif status == "diverge":
+            entry = (-1, None)
+        else:
+            entry = (cap, None)
+        if mkey is not None:
             _THRESHOLD_CACHE[mkey] = entry
     tau = entry[1]
     return tau if tau is not None and tau <= cap else None
@@ -487,29 +447,15 @@ def halt_threshold(e: int, oracle: OracleSet, x: int, cap: int) -> Optional[int]
 
 def clear_caches() -> None:
     """Drop all memoized run and jump data and the interned set contents."""
-    with _THRESHOLD_LOCK:
-        _THRESHOLD_CACHE.clear()
-    with _JUMP_LOCK:
-        _JUMP_CACHE.clear()
-    with _REGISTRY_LOCK:
-        _CONTENT_TOKENS.clear()
+    _THRESHOLD_CACHE.clear()
+    _JUMP_CACHE.clear()
+    _CONTENT_TOKENS.clear()
     decode_program.cache_clear()
 
 
 # ---------------------------------------------------------------------------
-# limit functions and jumps
+# jumps
 
-def g_limit(i: int, e: int, s: int, x: int, oracle: OracleSet) -> int:
-    """Value of program e run under bound s with the stage-s domain of
-    program i over the oracle as its own oracle; 0 when the bound is
-    exceeded."""
-    if s <= 0:
-        return 0
-    out = run_bounded(e, DomainStageOracle(i, oracle, s), x, s)
-    return out.value if out.halted else 0
-
-
-_JUMP_LOCK = threading.Lock()
 _JUMP_CACHE: dict[tuple, FinSet] = {}
 
 
@@ -551,8 +497,7 @@ def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> Fi
     ckey = None
     if okey is not None:
         ckey = ("jp", okey, s, bound, _programs_token(programs))
-        with _JUMP_LOCK:
-            hit = _JUMP_CACHE.get(ckey)
+        hit = _JUMP_CACHE.get(ckey)
         if hit is not None:
             return hit
     es = range(s) if programs is None else sorted(e for e in set(programs) if 0 <= e < s)
@@ -566,8 +511,7 @@ def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> Fi
                 codes.add(base + e)
     result = FinSet(sorted(codes))
     if ckey is not None:
-        with _JUMP_LOCK:
-            _JUMP_CACHE[ckey] = result
+        _JUMP_CACHE[ckey] = result
     return result
 
 
@@ -605,8 +549,7 @@ def staged_jump(oracle: OracleSet, spec, programs=None) -> FinSet:
     ckey = None
     if okey is not None:
         ckey = ("sj", okey, stages, _programs_token(programs))
-        with _JUMP_LOCK:
-            hit = _JUMP_CACHE.get(ckey)
+        hit = _JUMP_CACHE.get(ckey)
         if hit is not None:
             return hit
     JumpStageSpec(stages)  # validates
@@ -616,8 +559,7 @@ def staged_jump(oracle: OracleSet, spec, programs=None) -> FinSet:
         result = jump_pairs_approx(current, u, programs)
         current = ExplicitOracle(result.elems)
     if ckey is not None:
-        with _JUMP_LOCK:
-            _JUMP_CACHE[ckey] = result
+        _JUMP_CACHE[ckey] = result
     return result
 
 

@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_regressive_coloring
 
@@ -25,7 +27,7 @@ from xlramsey.colorings import (
     tower_step,
     tower_step_family,
 )
-from xlramsey.decoders import mn_raw
+from xlramsey.decoders import _no_threshold_in, mn_raw
 from xlramsey.largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
 from xlramsey.machines import (
     EMPTY,
@@ -33,9 +35,11 @@ from xlramsey.machines import (
     HALT,
     JZ,
     ExplicitOracle,
+    FuncOracle,
     Program,
     halt_threshold,
     jump_halt0,
+    run_bounded,
     staged_jump,
 )
 from xlramsey.ramsey import exact_homog_search, verify_min_homogeneous
@@ -281,6 +285,46 @@ def test_c3_matches_hand_unrolled_evaluation():
         if hz and not hy:
             expected = 0
     assert c3(tpl) == expected
+
+
+def capture_reference(k, oracle, lo, hi):
+    # Two uncached runs per index: no e <= k halts under hi but not lo.
+    return all(not (run_bounded(e, oracle, 0, hi).halted
+                    and not run_bounded(e, oracle, 0, lo).halted)
+               for e in range(k + 1))
+
+
+oracles_st = st.builds(
+    lambda members, keyed: ExplicitOracle(members) if keyed else FuncOracle(members.__contains__),
+    st.frozensets(st.integers(0, 150), max_size=6),
+    st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(0, 120), lo=st.integers(0, 150), width=st.integers(1, 40),
+       A=oracles_st)
+def test_capture_loop_matches_two_call_reference(k, lo, width, A):
+    assert _no_threshold_in(k, A, lo, lo + width) == capture_reference(k, A, lo, lo + width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(start=st.integers(2, 80), gaps=st.lists(st.integers(1, 25), min_size=3, max_size=3),
+       A=oracles_st)
+def test_stage_comparisons_match_two_call_reference(start, gaps, A):
+    # Minima past 46 make the capture loops run querying programs.
+    tpl = (start, start + gaps[0], start + gaps[0] + gaps[1], start + sum(gaps))
+    c2, c3 = c2_coloring(A, "capture"), cn_coloring(3, A)
+    sub_colors = set()
+    for k, y, z in combinations(tpl, 3):
+        want = int(capture_reference(k, A, y, z))
+        assert c2((k, y, z)) == want
+        sub_colors.add(want)
+    # The level-3 oracle: indices up to tpl[1] that halt under tpl[2].
+    approx = ExplicitOracle([i for i in range(tpl[1] + 1)
+                             if run_bounded(i, A, 0, tpl[2]).halted])
+    want = int(len(sub_colors) == 1 and capture_reference(tpl[0], approx, tpl[1], tpl[2]))
+    assert c3(tpl) == want
 
 
 def test_cn_vacuous_guard_colors_one():

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 
 import pytest
@@ -16,14 +17,12 @@ from xlramsey.machines import (
     QUERY,
     ExplicitOracle,
     FuncOracle,
-    JoinOracle,
     JumpStageSpec,
     Program,
     ProgramSet,
     clear_caches,
     decode_program,
     encode_program,
-    g_limit,
     halt_threshold,
     jump_codes_below,
     jump_halt0,
@@ -40,16 +39,6 @@ HALT_INDEX = 1  # encode([HALT])
 
 ZERO_PROG = Program([
     (JZ, 0, 3), (DEC, 0, 0), (JZ, 3, -2), (HALT, 0, 0),
-])
-
-# Answers "is 5 in the oracle": clears r0, builds 5 in r1, queries, moves
-# the answer to r0.
-QUERY5_PROG = Program([
-    (JZ, 0, 3), (DEC, 0, 0), (JZ, 3, -2),
-    (INC, 1, 0), (INC, 1, 0), (INC, 1, 0), (INC, 1, 0), (INC, 1, 0),
-    (QUERY, 1, 0),
-    (JZ, 1, 2), (INC, 0, 0),
-    (HALT, 0, 0),
 ])
 
 
@@ -265,32 +254,67 @@ def test_halt_threshold_consistent_with_run_bounded():
             )
 
 
-# ---------------------------------------------------------------------------
-# limit values
-
-def test_g_limit_zero_stage():
-    assert g_limit(1, 1, 0, 0, EMPTY) == 0
+def threshold_reference(e, oracle, x, cap):
+    # Uncached: the least bound s <= cap under which run_bounded halts.
+    return next((s for s in range(1, cap + 1) if run_bounded(e, oracle, x, s).halted), None)
 
 
-def test_g_limit_empty_stage_oracle():
-    # program 0 never halts, so the stage oracle is empty and the
-    # membership question answers 0
-    e5 = QUERY5_PROG.index
-    s = e5 + 1000
-    assert g_limit(0, e5, s, 7, ExplicitOracle([5])) == 0
+# Keyed and unkeyed oracles; the membership probe (index 6894) is the
+# least index found whose halting depends on the oracle.
+THRESHOLD_ORACLES = (
+    EMPTY,
+    ExplicitOracle([0, 2, 3]),
+    jump_halt0(EMPTY, 30),
+    FuncOracle(lambda n: n % 2 == 0),
+    FuncOracle(lambda n: n < 4),
+)
+threshold_calls = st.lists(
+    st.tuples(
+        st.integers(0, 400) | st.sampled_from((1, 46, 57, query_loop_index())),
+        st.integers(0, len(THRESHOLD_ORACLES) - 1),
+        st.integers(0, 5),
+        st.integers(-3, 60),
+    ),
+    min_size=1, max_size=10,
+)
 
 
-def test_g_limit_stabilizes_and_matches_true_oracle():
-    # program 1 halts everywhere, so its stage domains fill up; the
-    # query-5 program then sees a total oracle
-    e5 = QUERY5_PROG.index
-    s1 = e5 + 1000
-    s2 = e5 + 5000
-    v1 = g_limit(HALT_INDEX, e5, s1, 7, EMPTY)
-    v2 = g_limit(HALT_INDEX, e5, s2, 7, EMPTY)
-    assert v1 == v2 == 1
-    direct = run_bounded(e5, FuncOracle(lambda n: True), 7, s1)
-    assert direct.halted and direct.value == v1
+@settings(max_examples=150, deadline=None)
+@given(calls=threshold_calls, cold=st.booleans())
+def test_halt_threshold_matches_uncached_reference(calls, cold):
+    # Interleaved calls across oracles, from a cleared or a warm memo.
+    if cold:
+        clear_caches()
+    for e, which, x, extra in calls:
+        oracle = THRESHOLD_ORACLES[which]
+        cap = e + extra
+        assert halt_threshold(e, oracle, x, cap) == threshold_reference(e, oracle, x, cap)
+
+
+def test_query_free_threshold_is_simulated_once_for_all_oracles(monkeypatch):
+    clear_caches()
+    runs = []
+    real = machines._simulate
+    monkeypatch.setattr(machines, "_simulate", lambda *a: runs.append(a) or real(*a))
+    assert halt_threshold(HALT_INDEX, EMPTY, 0, 50) == 2
+    assert halt_threshold(HALT_INDEX, ExplicitOracle([3]), 0, 50) == 2
+    assert halt_threshold(HALT_INDEX, FuncOracle(lambda n: True), 0, 50) == 2
+    assert len(runs) == 1
+    # a querying program keeps one memo entry per oracle
+    q, five = query_loop_index(), ExplicitOracle([5])
+    assert halt_threshold(q, EMPTY, 5, q + 10) is None
+    assert halt_threshold(q, five, 5, q + 10) == q + 1
+    assert len(runs) == 3
+    assert decode_program(HALT_INDEX).query_free and not decode_program(q).query_free
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.integers(-1000, 5000), x=st.integers(0, 5), cap=st.integers(-50, 0))
+def test_halt_threshold_is_none_at_nonpositive_cap(e, x, cap):
+    if e >= 0:
+        halt_threshold(e, EMPTY, x, e + 10)  # warm the memo
+    assert halt_threshold(e, EMPTY, x, cap) is None
+    assert halt_threshold(e, FuncOracle(lambda n: True), x, cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +490,6 @@ def test_jump_halt0_monotone_in_cutoff():
             assert jump_halt0(EMPTY, hi).member(e)
 
 
-def test_join_oracle_layout():
-    j = JoinOracle(ExplicitOracle([0, 3]), ExplicitOracle([1]))
-    assert j.member(0) and j.member(6)  # evens carry the left side
-    assert j.member(3)  # odd slot 1 from the right side
-    assert not j.member(2) and not j.member(1)
-
-
 # ---------------------------------------------------------------------------
 # many-one reductions
 
@@ -528,3 +545,34 @@ def test_cutoff_jump_shared_across_threads():
     for t in threads:
         t.join()
     assert all(results[i] == results[0] for i in range(4))
+
+
+def test_unlocked_caches_agree_under_thread_switching():
+    # Racing threads may lose memo writes, which only costs re-runs: no
+    # answer changes and one set content never gets two tokens.
+    cases = [(e, x, cap) for e in range(0, 400, 3) for x in (0, 3) for cap in (5, 40, 200)]
+    oracles = (EMPTY, ExplicitOracle([0, 3]))
+    want = [[threshold_reference(e, o, x, cap) for e, x, cap in cases] for o in oracles]
+    clear_caches()
+    results, keys = {}, {}
+
+    def work(slot):
+        oracle = EMPTY if slot % 2 == 0 else ExplicitOracle([0, 3])
+        keys[slot] = oracle.key
+        order = cases if slot % 4 < 2 else cases[::-1]
+        got = {c: halt_threshold(c[0], oracle, c[1], c[2]) for c in order}
+        results[slot] = [got[c] for c in cases]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == want[i % 2] for i in range(8))
+    assert len({keys[i] for i in range(1, 8, 2)}) == 1

@@ -19,10 +19,8 @@ from .largesets import ExactlyLargeSet, FinSet
 from .machines import (
     OracleSet,
     ProgramSet,
-    encode_list,
-    jump_halt0,
-    run_bounded,
-    staged_jump,
+    _least_querying_index,
+    staged_jump_levels,
 )
 
 
@@ -161,123 +159,6 @@ def embed_finite(c: FiniteColoring) -> Embedding:
 
 
 # ---------------------------------------------------------------------------
-# oracle-uniform colorings and the diagonal tower
-
-class OracleColoringFamily:
-    """A fixed-arity coloring uniform in its oracle.
-
-    ``eval_at(oracle, tpl, bound)`` colors a tuple relative to an oracle;
-    bound, when given, caps any machine runs inside.  ``at`` freezes the
-    oracle and returns an ordinary FiniteColoring.
-    """
-
-    def __init__(self, dimension: int, eval_at, name: str = ""):
-        self.dimension = dimension
-        self.name = name
-        self._eval_at = eval_at
-
-    def eval_at(self, oracle: OracleSet, tpl: tuple, bound: Optional[int] = None) -> int:
-        return self._eval_at(oracle, tuple(tpl), bound)
-
-    def at(self, oracle: OracleSet, bound: Optional[int] = None) -> FiniteColoring:
-        return FiniteColoring(
-            self.dimension,
-            lambda tpl: self.eval_at(oracle, tpl, bound),
-            name=f"{self.name}@oracle",
-        )
-
-
-def program_family(e: int, dimension: int, default_bound: int = 10 ** 6) -> OracleColoringFamily:
-    """The coloring computed by program e against a pluggable oracle.
-
-    The tuple is passed as its sequence code in register 0; a run that
-    exceeds the bound colors 0.
-    """
-
-    def eval_at(oracle, tpl, bound):
-        b = bound if bound is not None else default_bound
-        out = run_bounded(e, oracle, encode_list(tpl), b)
-        return out.value if out.halted and out.value in (0, 1) else 0
-
-    return OracleColoringFamily(dimension, eval_at, name=f"prog[{e}]")
-
-
-def disagreement_base_family() -> OracleColoringFamily:
-    """Default pluggable base: colors (x, y) by whether the pair-coded
-    jump approximations at stages x and y disagree below x.  Genuinely
-    two-valued, since a code below x may first enter the jump after
-    stage x."""
-    from .machines import jump_codes_below
-
-    def eval_at(oracle, tpl, bound):
-        x, y = tpl
-        if x <= 0:
-            return 0
-        return 1 if jump_codes_below(oracle, x, x) != jump_codes_below(oracle, y, x) else 0
-
-    return OracleColoringFamily(2, eval_at, name="disagreement-base")
-
-
-def tower_step_family(family: OracleColoringFamily) -> OracleColoringFamily:
-    """One tower level up: the new coloring reads its last coordinate as
-    a stage, replaces the oracle by that stage's cutoff jump, and runs
-    the previous level under the stage bound.  Stage 0 colors 0."""
-
-    def eval_at(oracle, tpl, bound):
-        *xs, s = tpl
-        if s <= 0:
-            return 0
-        return family.eval_at(jump_halt0(oracle, s), tuple(xs), s)
-
-    return OracleColoringFamily(
-        family.dimension + 1, eval_at, name=f"step[{family.name}]"
-    )
-
-
-def tower_step(family: OracleColoringFamily, oracle: OracleSet) -> FiniteColoring:
-    """The next tower level, frozen at an oracle."""
-    return tower_step_family(family).at(oracle)
-
-
-def jump_tower(base: OracleColoringFamily, oracle: OracleSet):
-    """Lazy level access: level k is the base stepped k times, frozen at
-    the oracle.  Level 0 must be 2-dimensional."""
-    if base.dimension != 2:
-        raise ValueError("tower base must be 2-dimensional")
-    families = [base]
-
-    def level(k: int) -> FiniteColoring:
-        while len(families) <= k:
-            families.append(tower_step_family(families[-1]))
-        return families[k].at(oracle)
-
-    return level
-
-
-def diagonal_coloring(tower) -> ExactColoring:
-    """Diagonalize a tower of fixed-arity colorings over exactly large
-    sets: a set with minimum m >= 2 is colored by level m-1 applied to
-    its full tuple; minimum below 2 colors 0."""
-    if not callable(tower):
-        seq = list(tower)
-        tower = lambda k: seq[k]  # noqa: E731
-
-    def fn(s: ExactlyLargeSet) -> int:
-        m = s.min()
-        if m < 2:
-            return 0
-        level = tower(m - 1)
-        if level.dimension != len(s.elems):
-            raise ValueError(
-                f"tower level {m - 1} has dimension {level.dimension}, "
-                f"need {len(s.elems)}"
-            )
-        return level(s.elems)
-
-    return ExactColoring(fn, palette=2, name="diagonal")
-
-
-# ---------------------------------------------------------------------------
 # the stage-comparison family
 
 def c2_coloring(A: OracleSet, direction: str = "capture") -> FiniteColoring:
@@ -306,11 +187,18 @@ def c2_coloring(A: OracleSet, direction: str = "capture") -> FiniteColoring:
     return FiniteColoring(3, fn, name=f"c2[{direction}]")
 
 
-def cn_from(prev: FiniteColoring, A: OracleSet) -> FiniteColoring:
+def cn_from(prev: FiniteColoring, A: OracleSet,
+            c2: Optional[FiniteColoring] = None) -> FiniteColoring:
     """One level up from a given stage-comparison coloring: the new
     color is 1 iff the tuple is homogeneous for the previous level and
     the capture implication holds between the second and third entries
-    relative to the decoder-approximated oracle built from the tail."""
+    relative to the decoder-approximated oracle built from the tail.
+
+    ``c2``, if given, must be A's capture-mode level-2 coloring.  When
+    every index up to the first entry is query-free, the check cannot
+    see the approximation, so it is c2's (memoized) color of the first
+    three entries.  Without ``c2`` the check always runs.
+    """
     dim = prev.dimension + 1
 
     def fn(tpl):
@@ -318,6 +206,8 @@ def cn_from(prev: FiniteColoring, A: OracleSet) -> FiniteColoring:
         first = prev(next(subs))
         if any(prev(sub) != first for sub in subs):
             return 0
+        if c2 is not None and tpl[0] < _least_querying_index():
+            return c2(tpl[:3])
         # The approximating oracle runs the decoder one level below the
         # coloring being built, on the tail tuple.
         y = _ApproxJumpOracle(prev.dimension - 1, tpl[1:], A)
@@ -326,32 +216,40 @@ def cn_from(prev: FiniteColoring, A: OracleSet) -> FiniteColoring:
     return FiniteColoring(dim, fn, name=f"c{dim - 1}")
 
 
+def cn_tower(A: OracleSet) -> Callable[[int], FiniteColoring]:
+    """Lazy access to the stage-comparison levels over one oracle: level
+    2 is the capture-mode c2 and level n is ``cn_from`` of level n-1,
+    with c2 shared.  Each level is built once, so the homogeneity checks
+    of every level read the memo of the level below."""
+    levels = [c2_coloring(A, "capture")]
+
+    def level(n: int) -> FiniteColoring:
+        if n < 2:
+            raise ValueError("levels start at 2")
+        while len(levels) <= n - 2:
+            levels.append(cn_from(levels[-1], A, levels[0]))
+        return levels[n - 2]
+
+    return level
+
+
 def cn_coloring(n: int, A: OracleSet) -> FiniteColoring:
-    """The level-n stage-comparison coloring ((n+1)-tuples), built by
-    recursion grounded at level 2.  Only decoder approximations of the
+    """The level-n stage-comparison coloring ((n+1)-tuples), built on a
+    fresh tower grounded at level 2.  Only decoder approximations of the
     iterated jumps are consulted, never the jumps themselves."""
-    if n < 2:
-        raise ValueError("levels start at 2")
-    c = c2_coloring(A, "capture")
-    for _ in range(n - 2):
-        c = cn_from(c, A)
-    return c
+    return cn_tower(A)(n)
 
 
 def comega_coloring(A: OracleSet) -> ExactColoring:
     """Dispatch an exactly large set with minimum m >= 2 to the level-m
-    coloring on its full tuple; minimum below 2 colors 0."""
-    levels: dict[int, FiniteColoring] = {}
+    coloring on its full tuple; minimum below 2 colors 0.  All minima
+    share one ``cn_tower``, so a level and its memo are built once per
+    coloring and every higher level reuses them."""
+    level = cn_tower(A)
 
     def fn(s: ExactlyLargeSet) -> int:
         m = s.min()
-        if m < 2:
-            return 0
-        c = levels.get(m)
-        if c is None:
-            c = cn_coloring(m, A)
-            levels[m] = c
-        return c(s.elems)
+        return level(m)(s.elems) if m >= 2 else 0
 
     return ExactColoring(fn, palette=2, name="comega")
 
@@ -362,15 +260,20 @@ def comega_coloring(A: OracleSet) -> ExactColoring:
 def _least_disagreement_level(X: OracleSet, elems: tuple, programs) -> int:
     """Least level i in [1, n] at which the two staged jumps read off an
     exactly large tuple with even minimum 2n disagree below the tuple's
-    bounding entry; 0 when they all agree or the minimum is odd."""
+    bounding entry elems[n - i]; 0 when they all agree or the minimum is
+    odd.  Level i folds the stages elems[n], ..., elems[n-i+1] and
+    elems[2n], ..., elems[2n-i+1], so the two folds advance one step per
+    level, side by side, and stop at the first disagreement.
+    """
     a0 = elems[0]
     if a0 % 2 or a0 == 0:
         return 0
     n = a0 // 2
-    for i in range(1, n + 1):
+    firsts = staged_jump_levels(X, elems[n:0:-1], programs)
+    seconds = staged_jump_levels(X, elems[2 * n:n:-1], programs)
+    for i, first, second in zip(range(1, n + 1), firsts, seconds):
         bound = elems[n - i]
-        first = staged_jump(X, tuple(reversed(elems[n - i + 1: n + 1])), programs).elems
-        second = staged_jump(X, tuple(reversed(elems[2 * n - i + 1: 2 * n + 1])), programs).elems
+        first, second = first.elems, second.elems
         if first[:bisect_left(first, bound)] != second[:bisect_left(second, bound)]:
             return i
     return 0

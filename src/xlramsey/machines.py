@@ -28,10 +28,9 @@ are cut off at the requested bound.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .largesets import FinSet
 
@@ -194,6 +193,13 @@ def decode_program(e: int) -> Program:
     return program
 
 
+@lru_cache(maxsize=1)
+def _least_querying_index() -> int:
+    # Every program below the least index with a QUERY runs the same
+    # under every oracle.
+    return next(e for e in itertools.count() if not decode_program(e).query_free)
+
+
 def load_program_universe(path) -> list[Program]:
     """Read a program-universe file: blocks separated by blank lines.
 
@@ -258,7 +264,12 @@ class ExplicitOracle(OracleSet):
     def __init__(self, elems: Iterable[int] = ()):
         self.elems = tuple(sorted(set(elems)))
         self._set = frozenset(self.elems)
-        self._key = ("fin", _content_token(self.elems))
+        self._key = self.key_of(self.elems)
+
+    @staticmethod
+    def key_of(elems: tuple) -> tuple:
+        """The key of the oracle on these sorted distinct elements."""
+        return ("fin", _content_token(elems))
 
     def member(self, n: int) -> bool:
         return n in self._set
@@ -451,12 +462,13 @@ def clear_caches() -> None:
     _JUMP_CACHE.clear()
     _CONTENT_TOKENS.clear()
     decode_program.cache_clear()
+    _least_querying_index.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # jumps
 
-_JUMP_CACHE: dict[tuple, FinSet] = {}
+_JUMP_CACHE: dict[tuple, object] = {}  # "jp" keys hold a FinSet, "sj" keys a step
 
 
 class ProgramSet(frozenset):
@@ -515,52 +527,43 @@ def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> Fi
     return result
 
 
-@dataclass(frozen=True)
-class JumpStageSpec:
-    """A nonempty list of jump stages, applied innermost first."""
+def staged_jump_levels(oracle: OracleSet, stages, programs=None) -> Iterator[FinSet]:
+    """The staged jump after each stage in turn, innermost first: level
+    i is the stage-u pair-coded jump over level i-1, the base oracle
+    being level 0.  Lazy, so a caller that stops early folds no further.
 
-    stages: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ValueError("stage list must be nonempty")
-        for u in self.stages:
-            if u < 0:
-                raise ValueError("stages must be naturals")
-
-    def render(self) -> str:
-        return ",".join(str(u) for u in self.stages)
-
-    @classmethod
-    def parse(cls, text: str) -> "JumpStageSpec":
-        return cls(tuple(int(p.strip()) for p in text.split(",")))
-
-
-def staged_jump(oracle: OracleSet, spec, programs=None) -> FinSet:
-    """Fold the pair-coded jump along a stage list, innermost stage
-    first; the base oracle plays the role of the zeroth level.
-
-    Folds are memoized per (oracle key, stages, programs) in the jump
-    cache, which clear_caches empties; an oracle without a key is folded
-    afresh on every call.
+    A step is memoized in the jump cache under (previous level's oracle
+    key, stage, programs token) with its result's oracle key, so a hit
+    is one lookup and builds no oracle.  Over an oracle without a key
+    the first step runs afresh.
     """
-    stages = spec.stages if isinstance(spec, JumpStageSpec) else tuple(spec)
-    okey = oracle.key
-    ckey = None
-    if okey is not None:
-        ckey = ("sj", okey, stages, _programs_token(programs))
-        hit = _JUMP_CACHE.get(ckey)
-        if hit is not None:
-            return hit
-    JumpStageSpec(stages)  # validates
-    current: OracleSet = oracle
-    result = None
+    ptok = _programs_token(programs)
+    over, okey = oracle, oracle.key
     for u in stages:
-        result = jump_pairs_approx(current, u, programs)
-        current = ExplicitOracle(result.elems)
-    if ckey is not None:
-        _JUMP_CACHE[ckey] = result
-    return result
+        ckey = None if okey is None else ("sj", okey, u, ptok)
+        step = None if ckey is None else _JUMP_CACHE.get(ckey)
+        if step is None:
+            if over is None:
+                over = ExplicitOracle(result.elems)
+            result = jump_pairs_approx(over, u, programs)
+            step = (result, ExplicitOracle.key_of(result.elems))
+            if ckey is not None:
+                _JUMP_CACHE[ckey] = step
+        result, okey = step
+        over = None
+        yield result
+
+
+def staged_jump(oracle: OracleSet, stages, programs=None) -> FinSet:
+    """Fold the pair-coded jump along a nonempty list of natural stages,
+    innermost first: the last of ``staged_jump_levels``."""
+    stages = tuple(stages)
+    if not stages:
+        raise ValueError("stage list must be nonempty")
+    if any(u < 0 for u in stages):
+        raise ValueError("stages must be naturals")
+    *_, last = staged_jump_levels(oracle, stages, programs)
+    return last
 
 
 def jump_halt0(oracle: OracleSet, cutoff: int) -> CutoffJumpOracle:

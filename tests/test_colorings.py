@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_regressive_coloring
 
+from xlramsey import colorings, machines
 from xlramsey.colorings import (
     ExactColoring,
     FiniteColoring,
@@ -14,37 +15,27 @@ from xlramsey.colorings import (
     c2_coloring,
     cn_coloring,
     cn_from,
+    cn_tower,
     comega_coloring,
     dh_coloring,
-    diagonal_coloring,
-    disagreement_base_family,
     embed_finite,
-    jump_tower,
     km_dh_coloring,
     km_to_rt,
-    program_family,
     rt_via_km,
-    tower_step,
-    tower_step_family,
 )
 from xlramsey.decoders import _no_threshold_in, mn_raw
 from xlramsey.largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
 from xlramsey.machines import (
     EMPTY,
-    DEC,
-    HALT,
-    JZ,
     ExplicitOracle,
     FuncOracle,
-    Program,
+    clear_caches,
     halt_threshold,
-    jump_halt0,
+    jump_pairs_approx,
     run_bounded,
     staged_jump,
 )
 from xlramsey.ramsey import exact_homog_search, verify_min_homogeneous
-
-ZERO_PROG = Program([(JZ, 0, 3), (DEC, 0, 0), (JZ, 3, -2), (HALT, 0, 0)])
 
 DIVERGERS = (0, 2, 4, 7, 9)  # indices that never halt on any input
 
@@ -162,67 +153,6 @@ def test_embed_witness_transfer():
 
 
 # ---------------------------------------------------------------------------
-# tower and diagonal
-
-def test_tower_step_constant_zero_base():
-    fam = program_family(ZERO_PROG.index, 2)
-    lvl1 = tower_step(fam, EMPTY)
-    assert lvl1.dimension == 3
-    assert lvl1((3, 5, 7)) == 0  # stage too small to run the program
-    big = ZERO_PROG.index + 10 ** 4
-    assert lvl1((3, 5, big)) == 0  # program runs and outputs 0
-
-
-def test_tower_step_stage_zero_forces_zero():
-    fam = tower_step_family(program_family(ZERO_PROG.index, 2))
-    assert fam.eval_at(EMPTY, (3, 5, 0)) == 0
-
-
-def test_tower_level1_transfer_to_cutoff_jump():
-    # on inputs past stabilization, the stepped base at the raw oracle
-    # agrees with the base at the cutoff jump, tuple by tuple
-    base = disagreement_base_family()
-    lvl1 = tower_step(base, EMPTY)
-    big = 500
-    frozen = base.at(jump_halt0(EMPTY, big))
-    points = (40, 44, 50, 56, 60, 64)
-    for x, y in combinations(points, 2):
-        for s in (120, 200):
-            assert lvl1((x, y, s)) == frozen((x, y))
-
-
-def test_diagonal_constant_tower():
-    diag = diagonal_coloring(lambda k: FiniteColoring(k + 2, lambda t: 1))
-    assert diag(els(2, 5, 9)) == 1
-    assert diag(els(0)) == 0  # minimum below 2
-    assert diag(els(1, 4)) == 0
-
-
-def test_diagonal_dispatches_to_matching_level():
-    seen = []
-
-    def tower(k):
-        def fn(t):
-            seen.append((k, t))
-            return 0
-
-        return FiniteColoring(k + 2, fn)
-
-    diag = diagonal_coloring(tower)
-    assert diag(els(2, 3, 4)) == 0
-    assert seen == [(1, (2, 3, 4))]
-
-
-def test_diagonal_over_real_tower():
-    level = jump_tower(disagreement_base_family(), EMPTY)
-    diag = diagonal_coloring(level)
-    v1 = diag(els(2, 9, 31))
-    v2 = diag(els(2, 9, 31))
-    assert v1 == v2 in (0, 1)
-    assert diag(els(3, 9, 31, 40)) in (0, 1)
-
-
-# ---------------------------------------------------------------------------
 # stage-comparison colorings
 
 def test_c2_literal_is_constant_one():
@@ -262,6 +192,18 @@ def test_cn_from_rejects_non_homogeneous_tuples():
     assert c4.dimension == 4
     assert c4((3, 5, 7, 9)) == 0  # mixes colors at the previous level
     assert c4((4, 5, 7, 9)) == 1
+
+
+def test_cn_from_reads_capture_check_from_c2_below_first_query():
+    # A planted level 2 shows which path runs: its color below the least
+    # querying index, the capture loop (which passes here) from it on.
+    q = machines._least_querying_index()
+    prev = FiniteColoring(3, lambda t: 1)
+    planted = FiniteColoring(3, lambda t: 0)
+    shortcut, loop = cn_from(prev, EMPTY, planted), cn_from(prev, EMPTY)
+    below, at = (q - 1, q + 4, q + 14, q + 24), (q, q + 4, q + 14, q + 24)
+    assert shortcut(below) == 0 and loop(below) == 1
+    assert shortcut(at) == loop(at) == 1
 
 
 def test_c3_matches_hand_unrolled_evaluation():
@@ -361,6 +303,51 @@ def test_comega_chain_elements_are_level_homogeneous():
         assert len(colors) <= 1
 
 
+def loop_chain(n, A):
+    # Every level above 2 runs the capture loop against the approximation.
+    c = c2_coloring(A, "capture")
+    for _ in range(n - 2):
+        c = cn_from(c, A)
+    return c
+
+
+tower_queries = st.lists(
+    st.tuples(st.integers(2, 5), st.integers(0, 60),
+              st.lists(st.integers(1, 12), min_size=5, max_size=5)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(A=oracles_st, queries=tower_queries, cleared=st.booleans())
+def test_shared_tower_matches_fresh_levels(A, queries, cleared):
+    # First entries past 46 make the capture checks run querying programs.
+    if cleared:
+        clear_caches()
+    level = cn_tower(A)
+    for n, start, gaps in queries:
+        tpl = tuple(accumulate([start] + gaps[:n]))
+        got = level(n)(tpl)
+        assert got == cn_coloring(n, A)(tpl)
+        assert got == loop_chain(n, A)(tpl)
+
+
+def test_comega_evaluates_shared_lower_levels_once(monkeypatch):
+    calls = []
+    real = colorings._no_threshold_in
+    monkeypatch.setattr(colorings, "_no_threshold_in",
+                        lambda k, oracle, lo, hi: calls.append((k, lo, hi))
+                        or real(k, oracle, lo, hi))
+    cw = comega_coloring(ExplicitOracle([1]))
+    cw(els(3, 5, 7, 9))
+    cw(els(4, 5, 7, 9, 11))
+    # Only level-2 tuples run the loop: the 4 of the first set, then the 9
+    # new ones of the second ((5, 7, 9) is shared).  A fresh chain per
+    # minimum with a loop at every level makes 21 runs.
+    assert calls.count((5, 7, 9)) == 1
+    assert len(calls) == len(set(calls)) == 13
+
+
 # ---------------------------------------------------------------------------
 # disagreement-hardness colorings
 
@@ -401,6 +388,62 @@ def test_dh_oracle_use_locality():
     c2 = dh_coloring(shifted)
     for s in enumerate_exactly_large(FinSet(range(2, 13))):
         assert c1(s) == c2(s)
+
+
+def staged_jump_reference(X, stages, programs):
+    # A plain fold of the whole stage tuple, with no staged-jump memo.
+    current = X
+    for u in stages:
+        result = jump_pairs_approx(current, u, programs)
+        current = ExplicitOracle(result.elems)
+    return result
+
+
+def least_disagreement_reference(X, elems, programs):
+    a0 = elems[0]
+    if a0 % 2 or a0 == 0:
+        return 0
+    n = a0 // 2
+    for i in range(1, n + 1):
+        bound = elems[n - i]
+        first = staged_jump_reference(X, tuple(reversed(elems[n - i + 1: n + 1])), programs)
+        second = staged_jump_reference(X, tuple(reversed(elems[2 * n - i + 1: 2 * n + 1])),
+                                       programs)
+        if first.below(bound) != second.below(bound):
+            return i
+    return 0
+
+
+dh_oracles = st.sampled_from([
+    EMPTY, ExplicitOracle([3]), ExplicitOracle([0, 2]), FuncOracle({0, 2}.__contains__),
+])
+
+
+@settings(max_examples=40, deadline=None)
+@given(X=dh_oracles, n=st.integers(1, 4), start=st.integers(1, 30),
+       gaps=st.lists(st.integers(1, 8), min_size=8, max_size=8),
+       programs=st.none() | st.just([46, 57, 80, 124, 6894]) | st.lists(st.integers(0, 60)),
+       cleared=st.booleans())
+def test_dh_colors_match_full_fold_reference(X, n, start, gaps, programs, cleared):
+    if cleared:
+        clear_caches()
+    elems = tuple(accumulate([2 * n, start + 2 * n] + gaps[:2 * n - 1]))
+    want = least_disagreement_reference(X, elems, programs)
+    s = els(*elems)
+    assert km_dh_coloring(X, programs)(s) == want
+    assert dh_coloring(X, programs)(s) == (1 if want else 0)
+
+
+def test_dh_folds_one_stage_per_level(monkeypatch):
+    clear_caches()
+    stages = []
+    real = machines.jump_pairs_approx
+    monkeypatch.setattr(machines, "jump_pairs_approx",
+                        lambda oracle, s, programs=None: stages.append(s)
+                        or real(oracle, s, programs))
+    # Every entry is at most 46, so all three levels agree and are folded.
+    assert dh_coloring(EMPTY)(els(6, 8, 10, 12, 14, 16, 18)) == 0
+    assert sorted(stages) == [8, 10, 12, 14, 16, 18]
 
 
 def test_km_dh_regressive_on_random_tuples():

@@ -17,7 +17,6 @@ from xlramsey.machines import (
     QUERY,
     ExplicitOracle,
     FuncOracle,
-    JumpStageSpec,
     Program,
     ProgramSet,
     clear_caches,
@@ -32,6 +31,7 @@ from xlramsey.machines import (
     query_loop_index,
     run_bounded,
     staged_jump,
+    staged_jump_levels,
     unpair,
 )
 
@@ -360,7 +360,6 @@ def test_staged_jump_matches_hand_unrolled():
     inner = jump_pairs_approx(EMPTY, 8)
     outer = jump_pairs_approx(ExplicitOracle(inner.elems), 16)
     assert staged_jump(EMPTY, (8, 16)) == outer
-    assert staged_jump(EMPTY, JumpStageSpec((8, 16))) == outer
 
 
 def fold_reference(oracle, stages, programs):
@@ -389,6 +388,8 @@ def test_staged_jump_matches_plain_fold(elems, stages, programs, rnd):
     clear_caches()
     got = staged_jump(oracle, stages, programs)
     assert got == want
+    assert list(staged_jump_levels(oracle, stages, programs)) == [
+        fold_reference(oracle, stages[:i], programs) for i in range(1, len(stages) + 1)]
     assert staged_jump(oracle, stages, programs) == want
     if programs is not None:
         shuffled = list(programs)
@@ -467,10 +468,13 @@ def test_clear_caches_forgets_content_tokens():
     assert halt_threshold(q, five, 5, cap) == q + 1
 
 
-def test_jump_stage_spec_text():
-    spec = JumpStageSpec((8, 16))
-    assert spec.render() == "8,16"
-    assert JumpStageSpec.parse("8, 16") == spec
+def test_least_querying_index_is_read_off_decoded_programs():
+    q = machines._least_querying_index()
+    assert not decode_program(q).query_free
+    assert all(decode_program(e).query_free for e in range(q))
+    assert decode_program(q) == Program([(QUERY, 0, 0)])
+    clear_caches()
+    assert machines._least_querying_index.cache_info().currsize == 0
 
 
 def test_jump_halt0_members():

@@ -27,7 +27,7 @@ from .colorings import (
     km_to_rt,
     rt_via_km,
 )
-from .decoders import default_truth_cutoff, m_decode
+from .decoders import DEFAULT_TRUTH_CUTOFF, m_decode
 from .largesets import FinSet, enumerate_exactly_large
 from .machines import EMPTY, ExplicitOracle, load_program_universe
 from .ramsey import (
@@ -105,10 +105,8 @@ def parse_coloring(spec: str, oracle, seed: int = 0, programs=None) -> ExactColo
     if s.startswith("constant:"):
         k = int(s.split(":", 1)[1])
         return ExactColoring(lambda t: k, palette=k + 1, name=s)
-    if s.startswith("random"):
-        sd = seed
-        if ":" in s:
-            sd = int(s.split(":", 1)[1])
+    if s == "random" or s.startswith("random:"):
+        sd = int(s.split(":", 1)[1]) if ":" in s else seed
         return ExactColoring(lambda t: _hash_color(sd, t.elems), name=f"random:{sd}")
     if s == "dh":
         return dh_coloring(oracle, programs)
@@ -274,7 +272,9 @@ def _cmd_verify(args) -> int:
 def _cmd_decode(args) -> int:
     witness = load_witness(args.witness)
     oracle = parse_oracle(args.oracle)
-    cutoff = args.truth_cutoff or default_truth_cutoff()
+    cutoff = DEFAULT_TRUTH_CUTOFF if args.truth_cutoff is None else args.truth_cutoff
+    if cutoff <= 0:
+        raise ConfigError(f"--truth-cutoff must be positive, got {cutoff}")
     rows = []
     header = ["level", "element", "answer", "truth", "consistent", "tuple", "note"]
     for q in args.query:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional
@@ -121,41 +122,6 @@ class RegressiveColoring(ExactColoring):
                 raise ValueError(f"regressive coloring must be 0 at minimum 0, got {v}")
         elif v >= m:
             raise ValueError(f"regressive violation: color {v} with minimum {m}")
-
-
-# ---------------------------------------------------------------------------
-# embedding fixed-arity colorings into exact colorings
-
-@dataclass(frozen=True)
-class Embedding:
-    """An exact coloring built from a fixed-arity one, plus the witness
-    transform that recovers a finite-coloring witness."""
-
-    coloring: ExactColoring
-    dimension: int
-
-    def to_finite_witness(self, H: FinSet) -> FinSet:
-        return H.above(self.dimension - 1)
-
-
-def embed_finite(c: FiniteColoring) -> Embedding:
-    """Lift an n-ary coloring to exactly large sets.
-
-    The lifted coloring reads the first n elements of the set when the
-    minimum admits them, 0 otherwise; homogeneous sets for the lift,
-    intersected with [n, oo), are homogeneous for the original.
-    """
-    n = c.dimension
-
-    def fn(s: ExactlyLargeSet) -> int:
-        elems = s.elems
-        if elems[0] >= n:
-            return c(elems[:n])
-        return 0
-
-    return Embedding(
-        ExactColoring(fn, palette=c.palette, name=f"embed[{c.name or n}]"), n
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +318,10 @@ def rt_via_km(c: ExactColoring, H: FinSet) -> FinSet:
     """Thin a min-homogeneous set down to a homogeneous one.
 
     Each element's induced color is the color of exactly large subsets
-    of H with that minimum; the pigeonhole keeps the larger induced
-    class (ties to color 0) together with elements that induce nothing,
-    which cannot carry a counterexample.  Rejects H that is not
-    min-homogeneous.
+    of H with that minimum; the pigeonhole keeps the most frequent
+    induced color's class (ties to the least color) together with
+    elements that induce nothing, which cannot carry a counterexample.
+    Rejects H that is not min-homogeneous.
     """
     from .ramsey import verify_min_homogeneous  # ramsey imports this module
 
@@ -368,9 +334,10 @@ def rt_via_km(c: ExactColoring, H: FinSet) -> FinSet:
 
 
 def _pigeonhole(elems, induced: dict) -> tuple[list, int]:
-    """Thin elems to one induced color class: color 0 when at least half
-    of the induced colors are 0, else color 1.  Elements with no induced
-    color stay.  Returns the kept elements and the chosen color."""
-    count0 = sum(1 for v in induced.values() if v == 0)
-    chosen = 0 if count0 >= len(induced) - count0 else 1
+    """Thin elems to one induced color class: the most frequent induced
+    color, ties to the least (color 0 when none is induced).  Elements
+    with no induced color stay.  Returns the kept elements and the
+    chosen color."""
+    counts = Counter(induced.values())
+    chosen = min(counts, key=lambda v: (-counts[v], v), default=0)
     return [x for x in elems if induced.get(x, chosen) == chosen], chosen

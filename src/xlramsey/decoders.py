@@ -6,45 +6,32 @@ homogeneous set of the matching coloring, so every experiment checks
 verdicts against cutoff-semantic ground truth.
 
 Ground truth for "really halts" is halting within a global cutoff
-(default 10**6 steps, overridable via the XLRAMSEY_CUTOFF environment
-variable) on curated program universes whose halters all stop within
-10**3 steps; the gap makes cutoff truth reliable.
+(default ``DEFAULT_TRUTH_CUTOFF`` = 10**6 steps; the CLI takes another
+through ``--truth-cutoff`` or the config key ``truth-cutoff``) on
+curated program universes whose halters all stop within 10**3 steps;
+the gap makes cutoff truth reliable.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
+from .largesets import FinSet, enumerate_exactly_large
 from .machines import (
+    CutoffJumpOracle,
     OracleSet,
     ProgramSet,
     halt_threshold,
-    jump_halt0,
     mone_reduction,
     staged_jump,
 )
 
-_DEFAULT_CUTOFF = 10 ** 6
-
-
-def default_truth_cutoff() -> int:
-    raw = os.environ.get("XLRAMSEY_CUTOFF")
-    if raw:
-        try:
-            v = int(raw)
-            if v > 0:
-                return v
-        except ValueError:
-            pass
-    return _DEFAULT_CUTOFF
+DEFAULT_TRUTH_CUTOFF = 10 ** 6
 
 
 def _halts(e: int, oracle: OracleSet, bound: int) -> bool:
-    tau = halt_threshold(e, oracle, 0, bound)
-    return tau is not None and tau <= bound
+    return halt_threshold(e, oracle, 0, bound) is not None
 
 
 def _no_threshold_in(k: int, oracle: OracleSet, lo: int, hi: int) -> bool:
@@ -96,12 +83,7 @@ def m2_decode(e: int, triple, A: OracleSet) -> bool:
     Decides the first jump of A up to k whenever (k, b, b') extends into
     a homogeneous set of the matching capture-mode coloring.
     """
-    k, b, b2 = triple
-    if not k < b < b2:
-        raise ValueError(f"triple must increase: {triple}")
-    if e > k:
-        raise ValueError(f"index {e} above the tuple's guard {k}")
-    return _halts(e, A, b)
+    return mn_decode(2, e, triple, A)
 
 
 class _ApproxJumpOracle(OracleSet):
@@ -155,37 +137,25 @@ def mn_decode(n: int, e: int, tpl, A: OracleSet) -> bool:
     return mn_raw(n, e, tpl, A)
 
 
-def momega_decode(e: int, S, A: OracleSet) -> bool:
-    """Dispatch to the level-min(S) decoder on the whole tuple."""
-    if not isinstance(S, ExactlyLargeSet):
-        S = ExactlyLargeSet(S)
-    a1 = S.min()
-    if a1 < 2:
-        raise ValueError("tuple minimum must be at least 2")
-    if e > a1:
-        raise ValueError(f"index {e} above the tuple's guard {a1}")
-    return mn_raw(a1, e, S.elems, A)
-
-
 def halt0_tower_member(A: OracleSet, level: int, j: int, cutoff: int) -> bool:
     """Cutoff ground truth for "j is in the level-th halt-on-0 jump of A"."""
     if level == 0:
         return A.member(j)
     oracle = A
     for _ in range(level - 1):
-        oracle = jump_halt0(oracle, cutoff)
+        oracle = CutoffJumpOracle(oracle, cutoff)
     return _halts(j, oracle, cutoff)
 
 
-def adequate_tuple(H: FinSet, above: int, tail_skip: int = 0) -> Optional[tuple]:
+def adequate_tuple(H: FinSet, above: int) -> Optional[tuple]:
     """The exactly large tuple drawn from H whose minimum is the least
-    element above ``above``: the minimum plus the next min-many elements
-    (skipping ``tail_skip`` of them first).  None when H is too short.
+    element above ``above``: the minimum plus the next min-many
+    elements.  None when H is too short.
     """
     elems = H.elems
     for idx, a1 in enumerate(elems):
         if a1 > above and a1 >= 2:
-            tail = elems[idx + 1 + tail_skip:]
+            tail = elems[idx + 1:]
             if len(tail) < a1:
                 return None
             return (a1,) + tail[:a1]
@@ -198,7 +168,6 @@ def m_decode(
     H: FinSet,
     A: OracleSet,
     truth_cutoff: Optional[int] = None,
-    tail_skip: int = 0,
 ) -> DecodeVerdict:
     """Top-level reader for queries "is j in the i-th jump of A".
 
@@ -207,12 +176,12 @@ def m_decode(
     tuple's decoder level, and dispatches.  H too short (or a reduction
     past the desk-scale size limit) yields an insufficient-data verdict.
     """
-    tpl = adequate_tuple(H, max(i, j), tail_skip)
+    tpl = adequate_tuple(H, max(i, j))
     if tpl is None:
         return DecodeVerdict((i, j), None, note="insufficient data: H too short")
     a1 = tpl[0]
     try:
-        e = mone_reduction(i, a1 - 1, j, "halt0")
+        e = mone_reduction(i, a1 - 1, j)
     except ValueError as exc:
         return DecodeVerdict((i, j), None, FinSet(tpl), note=f"insufficient data: {exc}")
     answer = mn_raw(a1, e, tpl, A)

@@ -45,15 +45,6 @@ class FinSet:
         self._hash = hash(elems)
 
     @classmethod
-    def of(cls, *elems: int) -> "FinSet":
-        return cls(elems)
-
-    @classmethod
-    def from_iterable(cls, it: Iterable[int]) -> "FinSet":
-        """Build from any iterable, sorting and deduplicating."""
-        return cls(sorted(set(it)))
-
-    @classmethod
     def parse(cls, text: str) -> "FinSet":
         """Parse ``{a,b,c}`` with optional whitespace."""
         t = text.strip()
@@ -72,14 +63,6 @@ class FinSet:
             raise ValueError("empty set has no minimum")
         return self.elems[0]
 
-    def max(self) -> int:
-        if not self.elems:
-            raise ValueError("empty set has no maximum")
-        return self.elems[-1]
-
-    def card(self) -> int:
-        return len(self.elems)
-
     def above(self, x: int) -> "FinSet":
         """Elements strictly greater than x."""
         return FinSet(self.elems[bisect_left(self.elems, x + 1):])
@@ -87,13 +70,6 @@ class FinSet:
     def below(self, bound: int) -> "FinSet":
         """Elements strictly less than bound."""
         return FinSet(self.elems[:bisect_left(self.elems, bound)])
-
-    def union(self, other: "FinSet") -> "FinSet":
-        return FinSet.from_iterable(self.elems + other.elems)
-
-    def issubset(self, other: "FinSet") -> bool:
-        pool = set(other.elems)
-        return all(v in pool for v in self.elems)
 
     def __contains__(self, x: int) -> bool:
         i = bisect_left(self.elems, x)
@@ -140,9 +116,6 @@ class ExactlyLargeSet:
     def min(self) -> int:
         return self.fin.elems[0]
 
-    def card(self) -> int:
-        return len(self.fin.elems)
-
     def render(self) -> str:
         return self.fin.render()
 
@@ -163,26 +136,6 @@ class ExactlyLargeSet:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def is_exactly_large(s) -> bool:
-    """True iff s is nonempty and card(s) = min(s) + 1."""
-    if isinstance(s, ExactlyLargeSet):
-        return True
-    elems = s.elems if isinstance(s, FinSet) else FinSet(s).elems
-    return bool(elems) and len(elems) == elems[0] + 1
-
-
-def min_decompose(s) -> tuple[int, FinSet]:
-    """Split an exactly large set into (minimum, rest).
-
-    The rest has exactly ``minimum`` elements, all above it.  Rejects
-    input that is not exactly large.
-    """
-    if not is_exactly_large(s):
-        raise ValueError(f"not exactly large: {s}")
-    elems = s.elems
-    return elems[0], FinSet(elems[1:])
 
 
 def enumerate_exactly_large(universe: FinSet) -> Iterator[ExactlyLargeSet]:

@@ -285,21 +285,6 @@ class ExplicitOracle(OracleSet):
 EMPTY = ExplicitOracle(())
 
 
-class FuncOracle(OracleSet):
-    """Wrap an arbitrary pure predicate; uncacheable unless keyed."""
-
-    def __init__(self, fn, key=None):
-        self._fn = fn
-        self._key = key
-
-    def member(self, n: int) -> bool:
-        return bool(self._fn(n))
-
-    @property
-    def key(self):
-        return self._key
-
-
 class CutoffJumpOracle(OracleSet):
     """Halt-on-0 jump with cutoff semantics: e is in iff {e} with the
     base oracle halts on input 0 under the cutoff bound."""
@@ -308,14 +293,9 @@ class CutoffJumpOracle(OracleSet):
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
         self.base, self.cutoff = base, cutoff
-        self._memo: dict[int, bool] = {}
 
     def member(self, e: int) -> bool:
-        ans = self._memo.get(e)
-        if ans is None:
-            tau = halt_threshold(e, self.base, 0, self.cutoff)
-            ans = self._memo[e] = tau is not None and tau <= self.cutoff
-        return ans
+        return halt_threshold(e, self.base, 0, self.cutoff) is not None
 
     @property
     def key(self):
@@ -492,23 +472,13 @@ def jump_pairs_approx(oracle: OracleSet, s: int, programs=None) -> FinSet:
     the domain of program e over the oracle at some stage t < s.
 
     Monotone nondecreasing in s.  ``programs`` optionally restricts the
-    contributing indices e to a curated finite list.
+    contributing indices e to a curated finite list.  Only m, e < s can
+    halt under bound s - 1, so the loop visits those pairs alone.
     """
-    return jump_codes_below(oracle, s, pair(s, 0), programs)
-
-
-def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> FinSet:
-    """The stage-s pair-coded jump restricted to codes below ``bound``.
-
-    Only m, e < s can halt under bound s - 1, so the loop visits the
-    pairs (m, e) with m, e < s and code pair(m, e) < bound, and every
-    code lies below pair(s, 0); the cache key clips the bound there.
-    """
-    bound = min(bound, pair(s, 0))
     okey = oracle.key
     ckey = None
     if okey is not None:
-        ckey = ("jp", okey, s, bound, _programs_token(programs))
+        ckey = ("jp", okey, s, _programs_token(programs))
         hit = _JUMP_CACHE.get(ckey)
         if hit is not None:
             return hit
@@ -517,8 +487,6 @@ def jump_codes_below(oracle: OracleSet, s: int, bound: int, programs=None) -> Fi
     for m in range(s):
         base = pair(m, 0)
         for e in es:
-            if base + e >= bound:
-                break
             if halt_threshold(e, oracle, m, s - 1) is not None:
                 codes.add(base + e)
     result = FinSet(sorted(codes))
@@ -566,51 +534,28 @@ def staged_jump(oracle: OracleSet, stages, programs=None) -> FinSet:
     return last
 
 
-def jump_halt0(oracle: OracleSet, cutoff: int) -> CutoffJumpOracle:
-    """Cutoff-semantic halt-on-0 jump of the oracle.
-
-    Composing n times yields the cutoff tower standing in for the
-    iterated halting problem."""
-    return CutoffJumpOracle(oracle, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # many-one reductions between jump levels
 
-@lru_cache(maxsize=1)
-def _query_loop_program() -> Program:
-    # Halts on input m iff m is in the oracle; otherwise spins forever.
-    return Program([(QUERY, 0, 0), (JZ, 0, 0), (HALT, 0, 0)])
-
-
-def query_loop_index() -> int:
-    """Index of the membership probe: halts on input m iff m is in the
-    oracle."""
-    return _query_loop_program().index
-
+# The membership probe: halts on input m iff m is in the oracle;
+# otherwise spins forever.
+_PROBE = ((QUERY, 0, 0), (JZ, 0, 0), (HALT, 0, 0))
 
 _REDUCTION_LIMIT = 10 ** 5
 
 
-def mone_reduction(i: int, j: int, m: int, flavor: str = "pair") -> int:
-    """Map m through the level-raising reduction from jump level i to j.
-
-    pair flavor:  one step sends m to pair(m, q) with q the membership
-    probe, matching the pair-coded jump.  halt0 flavor: one step sends m
-    to the index of a program that loads m, probes the oracle, and halts
-    exactly on membership, matching the halt-on-0 jump.  Rejects i > j.
+def mone_reduction(i: int, j: int, m: int) -> int:
+    """Map m through the level-raising reduction from halt-on-0 jump
+    level i to j: one step sends m to the index of a program that loads
+    m, probes the oracle, and halts exactly on membership.  Rejects
+    i > j.
     """
     if i > j:
         raise ValueError("reduction requires i <= j")
-    if flavor not in ("pair", "halt0"):
-        raise ValueError(f"unknown flavor: {flavor!r}")
     for _ in range(j - i):
-        if flavor == "pair":
-            m = pair(m, query_loop_index())
-        else:
-            if m > _REDUCTION_LIMIT:
-                raise ValueError(
-                    f"halt0 reduction of {m} exceeds the desk-scale program size limit"
-                )
-            m = Program(((INC, 0, 0),) * m + _query_loop_program().instructions).index
+        if m > _REDUCTION_LIMIT:
+            raise ValueError(
+                f"halt0 reduction of {m} exceeds the desk-scale program size limit"
+            )
+        m = Program(((INC, 0, 0),) * m + _PROBE).index
     return m

@@ -27,13 +27,10 @@ class SearchBudget:
 
     max_universe: int = 128
     max_candidates: int = 1_000_000
-    stage_cutoffs: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.max_universe <= 0 or self.max_candidates <= 0:
             raise ValueError("budget bounds must be positive")
-        if any(c <= 0 for c in self.stage_cutoffs):
-            raise ValueError("stage cutoffs must be positive")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -84,12 +81,6 @@ class Witness:
             verified=bool(d.get("verified")),
             budget_used=d.get("budget", {}),
         )
-
-
-def save_witness(w: Witness, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(w.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_witness(path) -> Witness:
@@ -453,12 +444,13 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
     """Extract a homogeneous set for an a-ary coloring by iterated
     branch restriction.
 
-    Arity 1 is the budgeted stand-in for "does color 0 recur forever":
-    the 0 class is searched first, then the 1 class, then the larger
-    class as a flagged best effort.  Higher arities build the leftmost
-    branch, restrict the coloring to it, and recurse.  The witness is
-    re-verified internally; shortfall or a budget cut leaves it
-    unverified.
+    Arity 1 is the budgeted stand-in for "does some color recur
+    forever": the first color class, in color order, that reaches the
+    target is taken; failing that, the largest class (ties to the least
+    color, color 0 on an empty universe) as a flagged best effort.
+    Higher arities build the leftmost branch, restrict the coloring to
+    it, and recurse.  The witness is re-verified internally; shortfall
+    or a budget cut leaves it unverified.
     """
     if a < 1:
         raise ValueError("arity must be at least 1")
@@ -467,16 +459,13 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
     elems = universe.elems[: budget.max_universe]
 
     if a == 1:
-        class0 = [x for x in elems if c((x,)) == 0]
-        class1 = [x for x in elems if c((x,)) == 1]
-        if len(class0) >= target:
-            chosen, color = class0[:target], 0
-        elif len(class1) >= target:
-            chosen, color = class1[:target], 1
-        elif len(class0) >= len(class1):
-            chosen, color = class0, 0
-        else:
-            chosen, color = class1, 1
+        classes: dict[int, list] = {}
+        for x in elems:
+            classes.setdefault(c((x,)), []).append(x)
+        ordered = [classes.get(v, []) for v in range(max(classes, default=0) + 1)]
+        color = next((v for v, cls in enumerate(ordered) if len(cls) >= target),
+                     max(range(len(ordered)), key=lambda v: len(ordered[v])))
+        chosen = ordered[color][:target]
         return Witness(
             FinSet(chosen), "homogeneous", color=color,
             verified=len(chosen) >= target,
@@ -526,8 +515,9 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
     homogeneous set, whose minimum becomes the next chain element.  The
     chain stops when a stage search fails inside its budget.  A final
     pigeonhole pass thins the chain to one induced per-minimum color
-    class (larger class, ties to color 0); elements with no induced
-    color are kept, since no exactly large subset starts at them.
+    class (the most frequent color, ties to the least); elements with
+    no induced color are kept, since no exactly large subset starts at
+    them.
     """
     if not universe:
         raise ValueError("universe must be nonempty")

@@ -3,7 +3,18 @@ import zlib
 import pytest
 
 from xlramsey.colorings import ExactColoring, FiniteColoring, RegressiveColoring
-from xlramsey.machines import clear_caches
+from xlramsey.machines import OracleSet, clear_caches
+
+
+class UnkeyedOracle(OracleSet):
+    """Membership in a pure predicate, with no cache key, so runs and
+    jump steps over it take their uncached reference paths."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def member(self, n: int) -> bool:
+        return bool(self._fn(n))
 
 
 def crc_bit(seed, parts, mod=2):

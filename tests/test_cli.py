@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ import xlramsey
 from xlramsey.cli import (
     CONFIG_ERROR,
     OK,
+    ConfigError,
     VERIFY_FAILURE,
     parse_coloring,
     parse_oracle,
@@ -45,8 +48,11 @@ def test_parse_oracle_and_coloring():
     assert parse_oracle("{3,5}").member(3)
     c = parse_coloring("parity-of-min", EMPTY)
     assert c(FinSet([3, 4, 5, 6])) == 1
-    with pytest.raises(Exception):
-        parse_coloring("nope", EMPTY)
+    assert parse_coloring("random", EMPTY, seed=4).name == "random:4"
+    assert parse_coloring("random:7", EMPTY).name == "random:7"
+    for spec in ("nope", "randomly", "random-junk"):
+        with pytest.raises(ConfigError, match="unknown coloring"):
+            parse_coloring(spec, EMPTY)
 
 
 def test_enumerate_command(tmp_path, capsys):
@@ -251,15 +257,43 @@ def test_programs_file_restricts_dh(tmp_path):
     assert all(r[1] == "0" for r in rows[1:])
 
 
-def test_cutoff_env_override(monkeypatch):
-    from xlramsey.decoders import default_truth_cutoff
+def test_nonpositive_truth_cutoff_is_a_config_error(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({
+        "schema": "xlramsey.witness/1", "kind": "homogeneous",
+        "set": [2, 7000, 7500, 8000], "color": 1, "per_min": None,
+        "verified": True, "budget": {},
+    }))
+    out = tmp_path / "verdicts.csv"
+    argv = ["decode", "--witness", str(w), "--query", "1,1", "--out", str(out)]
+    cfg = tmp_path / "exp.ini"
+    for value in ("0", "-5"):
+        cfg.write_text(f"[experiment]\ntruth-cutoff = {value}\n")
+        for extra in (["--truth-cutoff", value], ["--config", str(cfg)]):
+            assert run_experiment(argv + extra) == CONFIG_ERROR
+            assert capsys.readouterr().err.startswith("config error: --truth-cutoff")
+            assert not out.exists()
+    assert run_experiment(argv + ["--truth-cutoff", "1"]) == OK
 
-    monkeypatch.setenv("XLRAMSEY_CUTOFF", "5000")
-    assert default_truth_cutoff() == 5000
-    monkeypatch.setenv("XLRAMSEY_CUTOFF", "junk")
-    assert default_truth_cutoff() == 10 ** 6
-    monkeypatch.delenv("XLRAMSEY_CUTOFF")
-    assert default_truth_cutoff() == 10 ** 6
+
+def readme_cli_commands():
+    # The sh block of README's CLI section, one command per item, with
+    # backslash-continued lines joined and comments dropped.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line) for line in joined.splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    commands = readme_cli_commands()
+    assert len(commands) >= 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "xlramsey"
+        assert run_experiment(argv[1:]) == OK, argv
 
 
 def test_verify_replays_the_recorded_config(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_regressive_coloring
+from conftest import UnkeyedOracle, random_regressive_coloring
 
 from xlramsey import colorings, machines
 from xlramsey.colorings import (
@@ -18,7 +18,6 @@ from xlramsey.colorings import (
     cn_tower,
     comega_coloring,
     dh_coloring,
-    embed_finite,
     km_dh_coloring,
     km_to_rt,
     rt_via_km,
@@ -28,7 +27,6 @@ from xlramsey.largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
 from xlramsey.machines import (
     EMPTY,
     ExplicitOracle,
-    FuncOracle,
     clear_caches,
     halt_threshold,
     jump_pairs_approx,
@@ -103,53 +101,6 @@ def test_colorings_are_pure():
         s = els(m, *tail)
         v = c(s)
         assert all(c(s) == v for _ in range(20))
-
-
-# ---------------------------------------------------------------------------
-# embedding
-
-def test_embed_parity_of_first():
-    emb = embed_finite(FiniteColoring(1, lambda t: t[0] % 2, name="parity"))
-    assert emb.coloring(els(2, 4, 7)) == 0
-    assert emb.coloring(els(3, 4, 7, 9)) == 1
-
-
-def test_embed_low_minimum_forces_zero():
-    c3 = FiniteColoring(3, lambda t: 1)
-    emb = embed_finite(c3)
-    assert emb.coloring(els(2, 5, 9)) == 0  # minimum below the arity
-    assert emb.coloring(els(3, 5, 9, 11)) == 1
-
-
-def test_embed_constant_is_constant_above_arity():
-    emb = embed_finite(FiniteColoring(2, lambda t: 1))
-    for s in enumerate_exactly_large(FinSet(range(2, 9))):
-        assert emb.coloring(s) == 1
-
-
-def test_embed_witness_transfer():
-    # brute-force a homogeneous set for the lifted coloring, then check
-    # the transform is homogeneous for the original on every tuple that
-    # extends to an exactly large set inside it
-    c = FiniteColoring(2, lambda t: (t[0] + t[1]) % 2, name="pairsum")
-    emb = embed_finite(c)
-    universe = FinSet(range(2, 12))
-    res = exact_homog_search(emb.coloring, universe, 5)
-    assert res.witness is not None
-    H = res.witness.set
-    H2 = emb.to_finite_witness(H)
-    assert H2.min() >= 2
-    color = None
-    for t in combinations(H2.elems, 2):
-        # does some exactly large extension of t live inside H2?
-        above = [x for x in H2.elems if x > t[-1]]
-        need = t[0] + 1 - len(t)
-        if need > len(above):
-            continue
-        v = c(t)
-        if color is None:
-            color = v
-        assert v == color
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +188,7 @@ def capture_reference(k, oracle, lo, hi):
 
 
 oracles_st = st.builds(
-    lambda members, keyed: ExplicitOracle(members) if keyed else FuncOracle(members.__contains__),
+    lambda members, keyed: ExplicitOracle(members) if keyed else UnkeyedOracle(members.__contains__),
     st.frozensets(st.integers(0, 150), max_size=6),
     st.booleans(),
 )
@@ -415,7 +366,7 @@ def least_disagreement_reference(X, elems, programs):
 
 
 dh_oracles = st.sampled_from([
-    EMPTY, ExplicitOracle([3]), ExplicitOracle([0, 2]), FuncOracle({0, 2}.__contains__),
+    EMPTY, ExplicitOracle([3]), ExplicitOracle([0, 2]), UnkeyedOracle({0, 2}.__contains__),
 ])
 
 

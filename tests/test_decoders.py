@@ -12,14 +12,14 @@ from xlramsey.decoders import (
     m_decode,
     mn_decode,
     mn_raw,
-    momega_decode,
 )
-from xlramsey.largesets import ExactlyLargeSet, FinSet
+from xlramsey.largesets import FinSet
 from xlramsey.machines import (
     EMPTY,
+    CutoffJumpOracle,
     ExplicitOracle,
-    jump_codes_below,
-    jump_halt0,
+    halt_threshold,
+    jump_pairs_approx,
 )
 from xlramsey.ramsey import brute_homogeneous, verify_exact_homogeneous
 
@@ -48,16 +48,17 @@ def test_m2_verdicts_match_cutoff_jump_on_homogeneous_triple():
     res = brute_homogeneous(c2_coloring(A, "capture"), U, 4)
     assert res.witness is not None
     H = res.witness.set
-    truth = jump_halt0(A, CUTOFF)
+    truth = CutoffJumpOracle(A, CUTOFF)
     for triple in combinations(H.elems, 3):
         for e in range(triple[0] + 1):
             assert m2_decode(e, triple, A) == truth.member(e)
 
 
 def test_mn_level_two_is_the_m2_path():
+    # level 2 is a plain bounded halt-on-0 search below the middle bound
     A = ExplicitOracle([4])
     for e in (0, 1, 3):
-        assert mn_decode(2, e, (3, 40, 60), A) == m2_decode(e, (3, 40, 60), A)
+        assert mn_decode(2, e, (3, 40, 60), A) == (halt_threshold(e, A, 0, 40) is not None)
 
 
 def test_mn_rejects_index_above_guard():
@@ -91,32 +92,6 @@ def test_mn_verdicts_match_two_fold_jump_on_homogeneous_tuple():
             assert mn_decode(3, e, quad, A) == want
 
 
-def test_momega_dispatch_and_guards():
-    A = EMPTY
-    S = ExactlyLargeSet((2, 50, 60))
-    assert momega_decode(1, S, A) == mn_decode(2, 1, (2, 50, 60), A)
-    assert momega_decode(1, S, A) == momega_decode(1, S, A)
-    with pytest.raises(ValueError):
-        momega_decode(5, S, A)
-    with pytest.raises(ValueError):
-        momega_decode(0, ExactlyLargeSet((1, 9)), A)
-
-
-def test_momega_matches_cutoff_tower_on_homogeneous_set():
-    A = ExplicitOracle([0, 2])
-    U = FinSet([2, 3, 1600, 1700, 1800])
-    res = brute_homogeneous(c2_coloring(A, "capture"), U, 4)
-    assert res.witness is not None
-    H = res.witness.set
-    # exactly large tuples inside H with minimum 2 decode the first jump
-    elems = [x for x in H.elems if x >= 2]
-    for i in range(len(elems) - 2):
-        S = ExactlyLargeSet((2,) + tuple(x for x in elems if x > 2)[i:i + 2])
-        for e in range(3):
-            want = halt0_tower_member(A, 1, e, CUTOFF)
-            assert momega_decode(e, S, A) == want
-
-
 def test_halt0_tower_member_levels():
     A = ExplicitOracle([3])
     assert halt0_tower_member(A, 0, 3, CUTOFF) is True
@@ -129,7 +104,6 @@ def test_halt0_tower_member_levels():
 def test_adequate_tuple_selection():
     H = FinSet([2, 7000, 7500, 8000])
     assert adequate_tuple(H, 1) == (2, 7000, 7500)
-    assert adequate_tuple(H, 1, tail_skip=1) == (2, 7500, 8000)
     assert adequate_tuple(H, 7000) is None  # not enough room above
     assert adequate_tuple(FinSet(), 0) is None
 
@@ -178,7 +152,9 @@ def test_m_decode_stable_across_tails():
     H = FinSet([2, 7000, 7500, 8000, 9000])
     for i, j in ((1, 0), (1, 1), (0, 0), (0, 1)):
         v1 = m_decode(i, j, H, A)
-        v2 = m_decode(i, j, H, A, tail_skip=1)
+        # H without 7000: the same minimum, its tail one element on
+        v2 = m_decode(i, j, FinSet([2, 7500, 8000, 9000]), A)
+        assert v2.tuple_used == FinSet([2, 7500, 8000])
         assert v1.answer == v2.answer
 
 
@@ -214,7 +190,7 @@ def test_dh_reconstruct_matches_stabilized_jump():
     rec = dh_reconstruct(H, 4, X)
     lvl1 = rec.levels[1].members
     for s in (90, 120, 200):
-        assert lvl1.below(60) == jump_codes_below(X, s, 60)
+        assert lvl1.below(60) == jump_pairs_approx(X, s).below(60)
 
 
 def test_dh_reconstruct_second_level_is_jump_of_first():
@@ -226,7 +202,7 @@ def test_dh_reconstruct_second_level_is_jump_of_first():
     x1 = ExplicitOracle(rec.levels[1].members.elems)
     cov2 = rec.levels[2].covered_below
     for s in (80, 120):
-        assert jump_codes_below(x1, s, cov2) == rec.levels[2].members
+        assert jump_pairs_approx(x1, s).below(cov2) == rec.levels[2].members
 
 
 def test_dh_reconstruct_partial_results():

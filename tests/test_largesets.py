@@ -8,8 +8,6 @@ from xlramsey.largesets import (
     FinSet,
     count_exactly_large,
     enumerate_exactly_large,
-    is_exactly_large,
-    min_decompose,
 )
 
 
@@ -48,44 +46,25 @@ def test_finset_render_parse_roundtrip():
 def test_finset_helpers():
     s = FinSet([2, 5, 9])
     assert 5 in s and 4 not in s
-    assert s.min() == 2 and s.max() == 9 and s.card() == 3
+    assert s.min() == 2 and len(s) == 3
     assert s.above(5) == FinSet([9])
     assert s.below(9) == FinSet([2, 5])
-    assert FinSet([2]).issubset(s)
-    assert not FinSet([3]).issubset(s)
 
 
 def test_is_exactly_large_examples():
-    assert is_exactly_large(FinSet([2, 3, 4]))
-    assert not is_exactly_large(FinSet([3, 4, 5]))
-    assert is_exactly_large(FinSet([0]))
-    assert not is_exactly_large(FinSet())
+    # the predicate is the ExactlyLargeSet constructor's check
+    for yes in ([2, 3, 4], [0]):
+        assert ExactlyLargeSet(FinSet(yes)).elems == tuple(yes)
+    for no in ([3, 4, 5], []):
+        with pytest.raises(ValueError):
+            ExactlyLargeSet(FinSet(no))
 
 
 def test_exactly_large_set_constructor():
     s = ExactlyLargeSet(FinSet([2, 5, 9]))
-    assert s.min() == 2 and s.card() == 3
+    assert s.min() == 2 and len(s) == 3
     with pytest.raises(ValueError):
         ExactlyLargeSet(FinSet([3, 4, 5]))
-
-
-def test_min_decompose_examples():
-    assert min_decompose(ExactlyLargeSet((2, 5, 9))) == (2, FinSet([5, 9]))
-    assert min_decompose(ExactlyLargeSet((1, 7))) == (1, FinSet([7]))
-    assert min_decompose(FinSet([3, 4, 5, 6])) == (3, FinSet([4, 5, 6]))
-    with pytest.raises(ValueError):
-        min_decompose(FinSet([3, 4, 5]))
-
-
-def test_min_decompose_reinsert_roundtrip():
-    rng = random.Random(7)
-    for _ in range(200):
-        m = rng.randrange(0, 6)
-        tail = sorted(rng.sample(range(m + 1, m + 30), m))
-        s = ExactlyLargeSet((m,) + tuple(tail))
-        head, rest = min_decompose(s)
-        assert head == m
-        assert FinSet((head,) + rest.elems) == s.fin
 
 
 def test_enumerate_examples():
@@ -109,8 +88,8 @@ def test_enumerate_is_lexicographic_and_lazy():
 def test_enumerate_members_are_exactly_large_subsets():
     universe = FinSet([1, 2, 4, 6, 7, 9])
     for s in enumerate_exactly_large(universe):
-        assert is_exactly_large(s)
-        assert s.fin.issubset(universe)
+        assert len(s) == s.min() + 1
+        assert set(s) <= set(universe)
 
 
 def test_counts_match_powerset_filter():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import UnkeyedOracle
+
 from xlramsey import machines
 from xlramsey.largesets import FinSet
 from xlramsey.machines import (
@@ -15,20 +17,17 @@ from xlramsey.machines import (
     INC,
     JZ,
     QUERY,
+    CutoffJumpOracle,
     ExplicitOracle,
-    FuncOracle,
     Program,
     ProgramSet,
     clear_caches,
     decode_program,
     encode_program,
     halt_threshold,
-    jump_codes_below,
-    jump_halt0,
     jump_pairs_approx,
     mone_reduction,
     pair,
-    query_loop_index,
     run_bounded,
     staged_jump,
     staged_jump_levels,
@@ -40,6 +39,9 @@ HALT_INDEX = 1  # encode([HALT])
 ZERO_PROG = Program([
     (JZ, 0, 3), (DEC, 0, 0), (JZ, 3, -2), (HALT, 0, 0),
 ])
+
+# The membership probe: halts on input m iff m is in the oracle.
+PROBE = Program([(QUERY, 0, 0), (JZ, 0, 0), (HALT, 0, 0)]).index
 
 
 def random_program(rng, max_len=6):
@@ -229,8 +231,7 @@ def test_run_bounded_locality_property(e, x, s, members, other):
 def test_divergence_detected_quickly():
     # query-loop spins on a missing member; the cycle is caught without
     # burning the whole bound
-    q = query_loop_index()
-    out = run_bounded(q, EMPTY, 3, 10 ** 6)
+    out = run_bounded(PROBE, EMPTY, 3, 10 ** 6)
     assert not out.halted
     assert out.steps_used < 100
 
@@ -264,13 +265,13 @@ def threshold_reference(e, oracle, x, cap):
 THRESHOLD_ORACLES = (
     EMPTY,
     ExplicitOracle([0, 2, 3]),
-    jump_halt0(EMPTY, 30),
-    FuncOracle(lambda n: n % 2 == 0),
-    FuncOracle(lambda n: n < 4),
+    CutoffJumpOracle(EMPTY, 30),
+    UnkeyedOracle(lambda n: n % 2 == 0),
+    UnkeyedOracle(lambda n: n < 4),
 )
 threshold_calls = st.lists(
     st.tuples(
-        st.integers(0, 400) | st.sampled_from((1, 46, 57, query_loop_index())),
+        st.integers(0, 400) | st.sampled_from((1, 46, 57, PROBE)),
         st.integers(0, len(THRESHOLD_ORACLES) - 1),
         st.integers(0, 5),
         st.integers(-3, 60),
@@ -298,10 +299,10 @@ def test_query_free_threshold_is_simulated_once_for_all_oracles(monkeypatch):
     monkeypatch.setattr(machines, "_simulate", lambda *a: runs.append(a) or real(*a))
     assert halt_threshold(HALT_INDEX, EMPTY, 0, 50) == 2
     assert halt_threshold(HALT_INDEX, ExplicitOracle([3]), 0, 50) == 2
-    assert halt_threshold(HALT_INDEX, FuncOracle(lambda n: True), 0, 50) == 2
+    assert halt_threshold(HALT_INDEX, UnkeyedOracle(lambda n: True), 0, 50) == 2
     assert len(runs) == 1
     # a querying program keeps one memo entry per oracle
-    q, five = query_loop_index(), ExplicitOracle([5])
+    q, five = PROBE, ExplicitOracle([5])
     assert halt_threshold(q, EMPTY, 5, q + 10) is None
     assert halt_threshold(q, five, 5, q + 10) == q + 1
     assert len(runs) == 3
@@ -314,7 +315,7 @@ def test_halt_threshold_is_none_at_nonpositive_cap(e, x, cap):
     if e >= 0:
         halt_threshold(e, EMPTY, x, e + 10)  # warm the memo
     assert halt_threshold(e, EMPTY, x, cap) is None
-    assert halt_threshold(e, FuncOracle(lambda n: True), x, cap) is None
+    assert halt_threshold(e, UnkeyedOracle(lambda n: True), x, cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +338,8 @@ def test_jump_pairs_approx_monotone():
     prev = FinSet()
     for s in range(0, 65):
         cur = jump_pairs_approx(EMPTY, s)
-        assert prev.issubset(cur)
+        assert set(prev) <= set(cur)
         prev = cur
-
-
-def test_jump_codes_below_agrees_with_full_scan():
-    for oracle in (EMPTY, ExplicitOracle([3, 5])):
-        for s in (0, 3, 8, 16, 24):
-            full = jump_pairs_approx(oracle, s)
-            assert jump_codes_below(oracle, s, 30) == full.below(30)
 
 
 def test_staged_jump_single_stage_and_zero():
@@ -400,7 +394,7 @@ def test_staged_jump_matches_plain_fold(elems, stages, programs, rnd):
         clear_caches()
         assert staged_jump(oracle, stages, ProgramSet(programs)) == want
     # an unkeyed oracle with the same members takes the uncached path
-    assert staged_jump(FuncOracle(oracle.member), stages, programs) == want
+    assert staged_jump(UnkeyedOracle(oracle.member), stages, programs) == want
 
 
 def test_program_set_key_is_computed_once(monkeypatch):
@@ -414,7 +408,6 @@ def test_program_set_key_is_computed_once(monkeypatch):
     for _ in range(3):
         staged_jump(EMPTY, (4, 3), progs)
         jump_pairs_approx(EMPTY, 4, progs)
-        jump_codes_below(EMPTY, 4, 6, progs)
     assert interned == []
     staged_jump(EMPTY, (4, 3), [9, 3, 5])
     assert interned[-1] == (3, 5, 9)  # a plain list is keyed on every call
@@ -425,7 +418,7 @@ def test_program_set_key_is_computed_once(monkeypatch):
 def test_jump_pairs_approx_monotone_property(elems, s, programs):
     oracle = ExplicitOracle(elems)
     lower = jump_pairs_approx(oracle, s, programs)
-    assert lower.issubset(jump_pairs_approx(oracle, s + 1, programs))
+    assert set(lower) <= set(jump_pairs_approx(oracle, s + 1, programs))
 
 
 def code_in_jump(oracle, s, c, programs=None):
@@ -442,19 +435,16 @@ def code_in_jump(oracle, s, c, programs=None):
 
 
 @settings(max_examples=80, deadline=None)
-@given(elems=small_sets, s=st.integers(0, 14), bound=st.integers(-2, 120),
-       programs=program_lists)
-def test_jump_loop_matches_probe_reference(elems, s, bound, programs):
+@given(elems=small_sets, s=st.integers(0, 14), programs=program_lists)
+def test_jump_loop_matches_probe_reference(elems, s, programs):
     oracle = ExplicitOracle(elems)
     progset = None if programs is None else set(programs)
     clear_caches()
-    want = FinSet(c for c in range(bound) if code_in_jump(oracle, s, c, progset))
+    want = FinSet(c for c in range(pair(s, 0)) if code_in_jump(oracle, s, c, progset))
     clear_caches()
-    assert jump_codes_below(oracle, s, bound, programs) == want
-    full = FinSet(c for c in range(pair(s, 0)) if code_in_jump(oracle, s, c, progset))
-    assert jump_pairs_approx(oracle, s, programs) == full
+    assert jump_pairs_approx(oracle, s, programs) == want
     # the unkeyed path runs the same loop
-    assert jump_codes_below(FuncOracle(oracle.member), s, bound, programs) == want
+    assert jump_pairs_approx(UnkeyedOracle(oracle.member), s, programs) == want
 
 
 def test_clear_caches_forgets_content_tokens():
@@ -463,7 +453,7 @@ def test_clear_caches_forgets_content_tokens():
     assert machines._CONTENT_TOKENS == {}
     five = ExplicitOracle((5,))
     assert five.key != EMPTY.key
-    q, cap = query_loop_index(), 10 ** 4
+    q, cap = PROBE, 10 ** 4
     assert halt_threshold(q, EMPTY, 5, cap) is None
     assert halt_threshold(q, five, 5, cap) == q + 1
 
@@ -478,11 +468,11 @@ def test_least_querying_index_is_read_off_decoded_programs():
 
 
 def test_jump_halt0_members():
-    j = jump_halt0(EMPTY, 100)
+    j = CutoffJumpOracle(EMPTY, 100)
     assert j.member(HALT_INDEX)
     assert not j.member(0)  # empty program diverges by convention
     with pytest.raises(ValueError):
-        jump_halt0(EMPTY, 0)
+        CutoffJumpOracle(EMPTY, 0)
 
 
 def test_jump_halt0_monotone_in_cutoff():
@@ -490,8 +480,8 @@ def test_jump_halt0_monotone_in_cutoff():
     for _ in range(100):
         e = rng.randrange(0, 2000)
         lo, hi = 50, 500
-        if jump_halt0(EMPTY, lo).member(e):
-            assert jump_halt0(EMPTY, hi).member(e)
+        if CutoffJumpOracle(EMPTY, lo).member(e):
+            assert CutoffJumpOracle(EMPTY, hi).member(e)
 
 
 # ---------------------------------------------------------------------------
@@ -501,41 +491,26 @@ def test_mone_identity_and_validation():
     assert mone_reduction(3, 3, 14) == 14
     with pytest.raises(ValueError):
         mone_reduction(4, 2, 1)
-    with pytest.raises(ValueError):
-        mone_reduction(0, 1, 5, "weird")
-
-
-def test_mone_pair_flavor_on_curated_jump():
-    # with contributors curated to the membership probe, the pair-coded
-    # jump decides base membership exactly
-    q = query_loop_index()
-    X = ExplicitOracle([3, 5])
-    for m in range(9):
-        code = mone_reduction(0, 1, m, "pair")
-        assert code == pair(m, q)
-        s = code + 20
-        member = code in jump_codes_below(X, s, code + 1, programs={q})
-        assert member == X.member(m)
 
 
 def test_mone_halt0_flavor():
     X = ExplicitOracle([3])
-    f3 = mone_reduction(0, 1, 3, "halt0")
-    f4 = mone_reduction(0, 1, 4, "halt0")
-    assert jump_halt0(X, f3 + 10 ** 4).member(f3)
-    assert not jump_halt0(X, f4 + 10 ** 4).member(f4)
+    f3 = mone_reduction(0, 1, 3)
+    f4 = mone_reduction(0, 1, 4)
+    assert CutoffJumpOracle(X, f3 + 10 ** 4).member(f3)
+    assert not CutoffJumpOracle(X, f4 + 10 ** 4).member(f4)
 
 
 def test_mone_halt0_desk_scale_guard():
     with pytest.raises(ValueError):
-        mone_reduction(0, 1, 10 ** 6, "halt0")
+        mone_reduction(0, 1, 10 ** 6)
 
 
 # ---------------------------------------------------------------------------
 # concurrency smoke test
 
 def test_cutoff_jump_shared_across_threads():
-    j = jump_halt0(EMPTY, 500)
+    j = CutoffJumpOracle(EMPTY, 500)
     results = {}
 
     def probe(lo, hi, slot):

@@ -1,3 +1,4 @@
+import json
 import random
 from bisect import bisect_right
 from itertools import combinations
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_exact_coloring, random_finite_coloring, random_regressive_coloring
 
-from xlramsey.colorings import ExactColoring, FiniteColoring
+from xlramsey.colorings import ExactColoring, FiniteColoring, _pigeonhole
 from xlramsey.largesets import FinSet
 from xlramsey.ramsey import (
     DEFAULT_BUDGET,
@@ -23,7 +24,6 @@ from xlramsey.ramsey import (
     leftmost_path,
     load_witness,
     min_homog_search,
-    save_witness,
     verify_exact_homogeneous,
     verify_min_homogeneous,
 )
@@ -404,6 +404,48 @@ def test_f_a_budget_shortfall_is_flagged():
         assert not w.verified
 
 
+@settings(max_examples=200, deadline=None)
+@given(palette=st.integers(2, 4), data=st.data())
+def test_arity_one_and_pigeonhole_take_a_maximal_class(palette, data):
+    colors = data.draw(st.lists(st.integers(0, palette - 1), max_size=12))
+    target = data.draw(st.integers(1, 8))
+    c = FiniteColoring(1, lambda t: colors[t[0]], palette=palette)
+    w = f_a_extract(1, c, FinSet(range(len(colors))), target)
+    sizes = [colors.count(v) for v in range(palette)]
+    reaching = [v for v in range(palette) if sizes[v] >= target]
+    if reaching:
+        # the first class in color order that reaches the target
+        assert w.color == reaching[0] and w.verified
+    else:
+        # else the largest class, ties to the least color
+        assert sizes[w.color] == max(sizes) and not w.verified
+        assert all(sizes[v] < sizes[w.color] for v in range(w.color))
+    assert w.set == FinSet([x for x, v in enumerate(colors) if v == w.color][:target])
+
+    induced = dict(enumerate(colors))
+    elems = list(range(len(colors) + 2))  # the last two induce nothing
+    kept, chosen = _pigeonhole(elems, induced)
+    assert sizes[chosen] == max(sizes)
+    assert all(sizes[v] < sizes[chosen] for v in range(chosen))
+    assert kept == [x for x in elems if induced.get(x, chosen) == chosen]
+
+    if set(colors) <= {0, 1}:
+        # the two-color formulas these rules replace
+        class0 = [x for x, v in enumerate(colors) if v == 0]
+        class1 = [x for x, v in enumerate(colors) if v == 1]
+        if len(class0) >= target:
+            old = (class0[:target], 0)
+        elif len(class1) >= target:
+            old = (class1[:target], 1)
+        elif len(class0) >= len(class1):
+            old = (class0, 0)
+        else:
+            old = (class1, 1)
+        assert (list(w.set), w.color) == old
+        count0 = sum(1 for v in induced.values() if v == 0)
+        assert chosen == (0 if count0 >= len(induced) - count0 else 1)
+
+
 def test_f_a_validates_arity():
     with pytest.raises(ValueError):
         f_a_extract(0, FiniteColoring(1, lambda t: 0), FinSet(range(5)), 2)
@@ -429,6 +471,18 @@ def test_chain_constant_is_greedy_prefix():
     # every universe element enters until the tail cannot host a stage
     assert w.set.elems[:5] == (2, 3, 4, 5, 6)
     assert w.verified
+
+
+def test_chain_stages_record_colors_above_one():
+    # every stage of a constant-2 coloring is homogeneous in color 2
+    c = ExactColoring(lambda s: 2, palette=3, name="constant:2")
+    w = iterate_rtomega(c, FinSet(range(2, 17)))
+    assert w.set == FinSet(range(2, 10)) and w.color == 2 and w.verified
+    stages = w.budget_used["stages"]
+    assert len(stages) == 7
+    assert all(stage["color"] == 2 and stage["verified"] for stage in stages)
+    assert set(w.per_min_colors.values()) == {2}
+    assert w.budget_used["pigeonhole_color"] == 2
 
 
 def test_chain_sum_parity_verifies():
@@ -537,7 +591,7 @@ def test_witness_json_roundtrip(tmp_path):
         budget_used={"examined": 3},
     )
     path = tmp_path / "w.json"
-    save_witness(w, path)
+    path.write_text(json.dumps(w.to_dict()))
     again = load_witness(path)
     assert again.set == w.set and again.kind == w.kind
     assert again.per_min_colors == {2: 1} and again.verified

@@ -214,6 +214,9 @@ def _cmd_search(args) -> int:
     if args.mode == "chain":
         _reject_unread(args, "k")
         start = None if args.start in (None, "min") else int(args.start)
+        if start is not None and start not in universe:
+            raise ConfigError(f"--start {start} is not an element of --universe "
+                              f"{args.universe}")
         witness = iterate_rtomega(coloring, universe, budget, start)
     elif args.mode in ("homogeneous", "min-homogeneous"):
         _reject_unread(args, "max_candidates", "max_universe", "start")
@@ -243,11 +246,12 @@ _REPLAYED_KEYS = ("coloring", "seed", "oracle", "programs")
 
 
 def _cmd_verify(args) -> int:
-    witness = load_witness(args.witness)
+    with open(args.witness, encoding="utf-8") as fh:
+        data = json.load(fh)
+    witness = Witness.from_dict(data)
     # Witness files emitted by `search` are self-describing: what this
     # run does not set itself is replayed from the recorded config.
-    with open(args.witness, encoding="utf-8") as fh:
-        recorded = json.load(fh).get("config") or {}
+    recorded = data.get("config") or {}
     if not isinstance(recorded, dict):
         raise ConfigError("the witness's config is not a JSON object")
     for key in _REPLAYED_KEYS:

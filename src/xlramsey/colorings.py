@@ -25,6 +25,17 @@ from .machines import (
 )
 
 
+def _memo_colors(self, tuples):
+    """The colors of ``tuples``, lazily and in order.  Each tuple is one
+    memo read; a miss goes through the call, which validates, evaluates
+    and stores it, so a stream stopped early evaluates what the same
+    calls in the same order would."""
+    memo = self._memo
+    for t in tuples:
+        v = memo.get(t)
+        yield self(t) if v is None else v
+
+
 class FiniteColoring:
     """A deterministic coloring of strictly increasing fixed-size tuples."""
 
@@ -52,6 +63,8 @@ class FiniteColoring:
             raise ValueError(f"color {v} outside palette of {self.palette}")
         self._memo[tpl] = v
         return v
+
+    colors = _memo_colors
 
     def __repr__(self) -> str:
         return f"FiniteColoring(dim={self.dimension}, name={self.name!r})"
@@ -101,6 +114,8 @@ class ExactColoring:
             raise ValueError(f"color {v} outside palette of {self.palette}")
         self._memo[key] = v
         return v
+
+    colors = _memo_colors
 
     def _check(self, s: ExactlyLargeSet, v: int) -> None:
         pass
@@ -168,9 +183,9 @@ def cn_from(prev: FiniteColoring, A: OracleSet,
     dim = prev.dimension + 1
 
     def fn(tpl):
-        subs = combinations(tpl, prev.dimension)
-        first = prev(next(subs))
-        if any(prev(sub) != first for sub in subs):
+        colors = prev.colors(combinations(tpl, prev.dimension))
+        first = next(colors)
+        if any(v != first for v in colors):
             return 0
         if c2 is not None and tpl[0] < _least_querying_index():
             return c2(tpl[:3])

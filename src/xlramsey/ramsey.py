@@ -11,7 +11,7 @@ every run is reproducible and every approximation visible.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -266,17 +266,20 @@ class ChildSet(NamedTuple):
 
 
 def _split(node: tuple, pool, c: FiniteColoring) -> dict:
-    """Group the increasing candidates j in pool by the colors of the
-    tuples sub + (t, j), for t the node's last entry and sub in
-    C(node[:-1], a-1) with a = c.dimension - 1.  Classes come in order of
-    their minima."""
+    """Group the increasing candidates j in pool (a sequence) by the
+    colors of the tuples sub + (t, j), for t the node's last entry and
+    sub in C(node[:-1], a-1) with a = c.dimension - 1.  Classes come in
+    order of their minima.  The colors are read as one stream, grouped
+    len(heads) at a time, one group per candidate."""
     heads = ()
     if node:
         t = node[-1]
         heads = [sub + (t,) for sub in combinations(node[:-1], c.dimension - 2)]
+    if not heads:
+        return {(): list(pool)} if pool else {}
+    colors = c.colors(h + (j,) for j in pool for h in heads)
     classes: dict[tuple, list] = {}
-    for j in pool:
-        key = tuple([c(h + (j,)) for h in heads])
+    for j, key in zip(pool, zip(*[colors] * len(heads))):
         members = classes.get(key)
         if members is None:
             classes[key] = [j]
@@ -395,25 +398,41 @@ class _Restricted:
     """A coloring along a branch read one dimension lower: each tuple is
     finished with the next branch element above it and colored by the
     coloring beneath.  Sound because the branch makes colors independent
-    of the last element.  Keeps no memo: the coloring beneath has one,
-    and it validates the finished tuple on a miss."""
+    of the last element.
 
-    __slots__ = ("c", "path", "dimension")
+    A view over a view is flat: it keeps the memoizing coloring at the
+    bottom (``c``) and, per element y of its own branch, the whole suffix
+    that finishes a tuple whose next branch element is y, read off the
+    stack of branches.  So a tuple restricted k levels deep costs one
+    lookup and one memo read.  Keeps no memo: the bottom coloring has
+    one, and it validates the finished tuple on a miss."""
+
+    __slots__ = ("c", "path", "tails", "dimension")
 
     def __init__(self, c, path: tuple):
-        self.c, self.path, self.dimension = c, path, c.dimension - 1
+        self.path, self.dimension = path, c.dimension - 1
+        if isinstance(c, _Restricted):
+            # The suffixes stop where the view beneath has no element
+            # above y: a tuple past them cannot be finished.
+            self.c, below = c.c, c.tails
+            self.tails = [(y,) + below[i] for y in path
+                          if (i := bisect_right(c.path, y)) < len(below)]
+        else:
+            self.c, self.tails = c, [(y,) for y in path]
 
-    def __call__(self, tpl) -> int:
-        tpl = tuple(tpl)
-        return self.c(tpl + (self.path[bisect_right(self.path, tpl[-1])],))
+    def colors(self, tuples):
+        """The colors of the finished tuples, lazily and in order."""
+        path, tails = self.path, self.tails
+        return self.c.colors(t + tails[bisect_right(path, t[-1])] for t in tuples)
 
 
 def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
                    universe: FinSet, target: int) -> FinSet:
     """Grow a monochromatic set with universe elements that keep every
-    tuple the same color, capped at the target size.  Each candidate is
-    checked against all tuples it completes, so the result stays exactly
-    as verified as the input."""
+    tuple the same color, capped at the target size.  Each candidate x is
+    checked against all tuples it completes, x inserted into each
+    (a-1)-subset of the set in lexicographic order, so the result stays
+    exactly as verified as the input."""
     if color is None or len(base) >= target:
         return base
     chosen = list(base.elems)
@@ -424,17 +443,9 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
             break
         if x in pool:
             continue
-        trial = sorted(chosen + [x])
-        if len(trial) < a:
-            ok = True
-        else:
-            ok = all(
-                c(sub) == color
-                for sub in combinations(trial, a)
-                if x in sub
-            )
-        if ok:
-            chosen = trial
+        tuples = (tuple(sorted(sub + (x,))) for sub in combinations(chosen, a - 1))
+        if all(v == color for v in c.colors(tuples)):
+            insort(chosen, x)
             pool.add(x)
     return FinSet(chosen)
 
@@ -460,8 +471,8 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
 
     if a == 1:
         classes: dict[int, list] = {}
-        for x in elems:
-            classes.setdefault(c((x,)), []).append(x)
+        for x, v in zip(elems, c.colors((x,) for x in elems)):
+            classes.setdefault(v, []).append(x)
         ordered = [classes.get(v, []) for v in range(max(classes, default=0) + 1)]
         color = next((v for v, cls in enumerate(ordered) if len(cls) >= target),
                      max(range(len(ordered)), key=lambda v: len(ordered[v])))
@@ -486,7 +497,7 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
     )
     chosen = _greedy_extend(c, inner.set, inner.color, FinSet(elems), target)
     recheck = all(
-        c(sub) == inner.color for sub in combinations(chosen.elems, a)
+        v == inner.color for v in c.colors(combinations(chosen.elems, a))
     ) if inner.color is not None else False
     stats = {
         "arity": a, "target": target, "achieved": len(chosen),
@@ -517,12 +528,14 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
     pigeonhole pass thins the chain to one induced per-minimum color
     class (the most frequent color, ties to the least); elements with
     no induced color are kept, since no exactly large subset starts at
-    them.
+    them.  A given ``start`` must be a universe element.
     """
     if not universe:
         raise ValueError("universe must be nonempty")
     if universe.min() < 2:
         raise ValueError("universe must start at 2 or above")
+    if start is not None and start not in universe:
+        raise ValueError(f"start {start} is not an element of the universe")
     a0 = universe.min() if start is None else start
     chain = [a0]
     stage_colors: dict[int, int] = {}

@@ -409,3 +409,31 @@ def test_search_flags_the_mode_never_reads_are_config_errors(tmp_path, capsys, m
     cfg.write_text(f"[experiment]\n{key} = {value}\n")
     assert run_experiment(argv + ["--config", str(cfg)]) == CONFIG_ERROR
     assert run_experiment(argv) == OK
+
+
+@pytest.mark.parametrize("universe, start", [
+    ("interval:5..12", "3"), ("interval:2..12", "40"), ("interval:2..12", "0"),
+])
+def test_chain_start_outside_the_universe_is_a_config_error(tmp_path, capsys, universe, start):
+    w = tmp_path / "w.json"
+    code = run_experiment(["search", "--mode", "chain", "--coloring", "parity-of-min",
+                           "--universe", universe, "--start", start, "--out-witness", str(w)])
+    assert code == CONFIG_ERROR and not w.exists()
+    assert capsys.readouterr().err == (
+        f"config error: --start {start} is not an element of --universe {universe}\n")
+
+
+def test_verify_reads_the_witness_file_once(tmp_path, monkeypatch):
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..12", "--out-witness", str(w)]) == OK
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert run_experiment(["verify", "--witness", str(w)]) == OK
+    assert opened.count(str(w)) == 1

@@ -1,19 +1,26 @@
 import json
 import random
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_exact_coloring, random_finite_coloring, random_regressive_coloring
+from conftest import (
+    crc_bit,
+    random_exact_coloring,
+    random_finite_coloring,
+    random_regressive_coloring,
+)
+import reference_extract
 
 from xlramsey.colorings import ExactColoring, FiniteColoring, _pigeonhole
 from xlramsey.largesets import FinSet
 from xlramsey.ramsey import (
     DEFAULT_BUDGET,
     PathResult,
+    _Restricted,
     SearchBudget,
     Witness,
     brute_homogeneous,
@@ -453,6 +460,100 @@ def test_f_a_validates_arity():
         f_a_extract(2, FiniteColoring(3, lambda t: 0), FinSet(range(5)), 2)
 
 
+class Poisoned(Exception):
+    pass
+
+
+def extraction_coloring(seed, dim, palette, exact, poison):
+    """A fresh random coloring whose evaluation number ``poison`` raises:
+    a FiniteColoring, or the stage coloring at minimum dim of an exact
+    one (its universe must lie above dim)."""
+    evaluations = count()
+
+    def color(elems):
+        if next(evaluations) == poison:
+            raise Poisoned(elems)
+        return crc_bit(seed, elems, palette)
+
+    if exact:
+        return ExactColoring(lambda s: color(s.elems), palette=palette).at_min(dim)
+    return FiniteColoring(dim, color, palette=palette)
+
+
+def run_extraction(extract, c, universe, target, budget):
+    try:
+        return extract(c.dimension, c, universe, target, budget), None
+    except Poisoned as exc:
+        return None, exc.args
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(2, 4), palette=st.integers(2, 3),
+       exact=st.booleans(), elems=st.sets(st.integers(0, 20), max_size=14),
+       target=st.integers(1, 14), poison=st.none() | st.integers(0, 400),
+       budget=st.builds(SearchBudget, max_universe=st.integers(1, 16),
+                        max_candidates=st.sampled_from([1, 2, 3, 1_000_000])))
+def test_extraction_matches_per_call_reference(seed, dim, palette, exact, elems, target,
+                                               poison, budget):
+    # The flat views and batched reads return the same witness, evaluate
+    # the same tuples in the same order and raise the same exception.
+    universe = FinSet(sorted(x + dim + 1 if exact else x for x in elems))
+    got_c = extraction_coloring(seed, dim, palette, exact, poison)
+    want_c = extraction_coloring(seed, dim, palette, exact, poison)
+    got = run_extraction(f_a_extract, got_c, universe, target, budget)
+    want = run_extraction(reference_extract.f_a_extract, want_c, universe, target, budget)
+    assert got == want
+    assert list(got_c._memo) == list(want_c._memo)
+
+
+def test_extraction_raises_where_the_reference_raises():
+    # evaluation 100 of the 171 a full run makes raises
+    runs = []
+    for extract in (f_a_extract, reference_extract.f_a_extract):
+        c = extraction_coloring(1, 4, 2, False, 100)
+        runs.append((run_extraction(extract, c, FinSet(range(14)), 14, DEFAULT_BUDGET),
+                     list(c._memo)))
+    (got, got_memo), (want, want_memo) = runs
+    assert got[1] is not None and got == want
+    assert len(got_memo) == 100 and got_memo == want_memo
+
+
+def test_memo_hits_make_no_calls(monkeypatch):
+    c = ExactColoring(lambda s: s.min() % 2, name="parity-of-min")
+    stage = c.at_min(5)
+    evaluations = calls = 0
+    fn, call = stage._fn, ExactColoring.__call__
+
+    def counting_fn(s):
+        nonlocal evaluations
+        evaluations += 1
+        return fn(s)
+
+    def counting_call(self, s):
+        nonlocal calls
+        calls += 1
+        return call(self, s)
+
+    stage._fn = counting_fn
+    monkeypatch.setattr(ExactColoring, "__call__", counting_call)
+    w = f_a_extract(5, stage, FinSet(range(6, 20)), 14)
+    assert w.verified and evaluations == len(stage._memo) == 2002
+    assert calls == evaluations
+
+
+def test_view_over_a_view_is_flat():
+    c = random_finite_coloring(7, 4)
+    p, q = (1, 3, 4, 6, 8, 9, 11), (3, 6, 8, 9)
+    inner = _Restricted(c, p)
+    view = _Restricted(inner, q)
+    assert view.c is c and view.dimension == 2
+    for t in combinations(q[:-1], 2):
+        y = q[bisect_right(q, t[-1])]
+        z = p[bisect_right(p, y)]
+        assert list(view.colors([t])) == [c(t + (y, z))]
+        assert list(inner.colors([t + (y,)])) == [c(t + (y, z))]
+
+
 # ---------------------------------------------------------------------------
 # chains
 
@@ -494,9 +595,15 @@ def test_chain_sum_parity_verifies():
 
 def test_chain_start_override():
     c = ExactColoring(lambda s: 0)
-    w = iterate_rtomega(c, FinSet(range(4, 20)), start=2)
-    assert w.set.min() == 2
-    assert w.budget_used["start"] == 2
+    w = iterate_rtomega(c, FinSet(range(2, 20)), start=4)
+    assert w.set.min() == 4
+    assert w.budget_used["start"] == 4
+
+
+@pytest.mark.parametrize("start", [0, 3, 40])
+def test_chain_start_must_be_a_universe_element(start):
+    with pytest.raises(ValueError, match="not an element of the universe"):
+        iterate_rtomega(ExactColoring(lambda s: 0), FinSet(range(5, 13)), start=start)
 
 
 def test_chain_rejects_low_universe():

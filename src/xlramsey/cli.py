@@ -213,7 +213,13 @@ def _cmd_search(args) -> int:
     )
     if args.mode == "chain":
         _reject_unread(args, "k")
-        start = None if args.start in (None, "min") else int(args.start)
+        start = None
+        if args.start not in (None, "min"):
+            try:
+                start = int(args.start)
+            except ValueError:
+                raise ConfigError(f"--start takes 'min' or a universe element, "
+                                  f"got {args.start!r}")
         if start is not None and start not in universe:
             raise ConfigError(f"--start {start} is not an element of --universe "
                               f"{args.universe}")

@@ -25,17 +25,6 @@ from .machines import (
 )
 
 
-def _memo_colors(self, tuples):
-    """The colors of ``tuples``, lazily and in order.  Each tuple is one
-    memo read; a miss goes through the call, which validates, evaluates
-    and stores it, so a stream stopped early evaluates what the same
-    calls in the same order would."""
-    memo = self._memo
-    for t in tuples:
-        v = memo.get(t)
-        yield self(t) if v is None else v
-
-
 class FiniteColoring:
     """A deterministic coloring of strictly increasing fixed-size tuples."""
 
@@ -52,19 +41,30 @@ class FiniteColoring:
     def __call__(self, tpl) -> int:
         tpl = tuple(tpl)
         hit = self._memo.get(tpl)
-        if hit is not None:
-            return hit
-        if len(tpl) != self.dimension:
-            raise ValueError(f"expected {self.dimension}-tuple, got {tpl}")
-        if any(a >= b for a, b in zip(tpl, tpl[1:])):
-            raise ValueError(f"tuple must increase: {tpl}")
-        v = self._fn(tpl)
+        return self._miss(tpl) if hit is None else hit
+
+    def colors(self, tuples):
+        """The colors of ``tuples``, lazily and in order.  A read is one
+        memo read, and a miss runs the call's miss code, so a stream
+        stopped early has stored what the same calls in the same order
+        would."""
+        memo, miss = self._memo, self._miss
+        for t in tuples:
+            v = memo.get(t)
+            yield miss(t) if v is None else v
+
+    def _miss(self, t: tuple) -> int:
+        # A method, not inlined into the stream as ExactColoring's miss is:
+        # the level colorings of comega are mostly read one call at a time.
+        if len(t) != self.dimension:
+            raise ValueError(f"expected {self.dimension}-tuple, got {t}")
+        if any(a >= b for a, b in zip(t, t[1:])):
+            raise ValueError(f"tuple must increase: {t}")
+        v = self._fn(t)
         if not 0 <= v < self.palette:
             raise ValueError(f"color {v} outside palette of {self.palette}")
-        self._memo[tpl] = v
+        self._memo[t] = v
         return v
-
-    colors = _memo_colors
 
     def __repr__(self) -> str:
         return f"FiniteColoring(dim={self.dimension}, name={self.name!r})"
@@ -106,16 +106,31 @@ class ExactColoring:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if self._prefix or not isinstance(s, ExactlyLargeSet):
-            s = ExactlyLargeSet(FinSet(self._prefix + key))
-        v = self._fn(s)
-        self._check(s, v)
-        if v < 0 or (self.palette is not None and v >= self.palette):
-            raise ValueError(f"color {v} outside palette of {self.palette}")
-        self._memo[key] = v
+        built = s if not self._prefix and isinstance(s, ExactlyLargeSet) else None
+        # Unpacking runs the one-tuple stream to its end, which costs less
+        # than dropping it suspended.
+        (v,) = self.colors((key,), built)
         return v
 
-    colors = _memo_colors
+    def colors(self, tuples, built=None):
+        """The colors of ``tuples``, lazily and in order.  A read is one
+        memo read; a miss is validated (by building its exactly large
+        set), evaluated, checked and stored here, in the stream's own
+        frame, so a stream stopped early has stored what the same calls
+        in the same order would.  ``built``, for a stream of one tuple,
+        is that tuple's set when the caller already holds it."""
+        memo, prefix, palette, fn, check = (
+            self._memo, self._prefix, self.palette, self._fn, self._check)
+        for t in tuples:
+            v = memo.get(t)
+            if v is None:
+                s = ExactlyLargeSet(FinSet(prefix + t)) if built is None else built
+                v = fn(s)
+                check(s, v)
+                if v < 0 or (palette is not None and v >= palette):
+                    raise ValueError(f"color {v} outside palette of {palette}")
+                memo[t] = v
+            yield v
 
     def _check(self, s: ExactlyLargeSet, v: int) -> None:
         pass

@@ -358,30 +358,28 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
         raise ValueError("length must be at least 1")
     truncated = False
     expanded = 0
-
-    def extend(node: tuple, survivors) -> Optional[tuple]:
-        nonlocal truncated, expanded
+    best = None
+    # A loop, not a recursive closure: a closure that calls itself is a
+    # reference cycle, which would keep c and its memo alive after return.
+    stack = [((), universe.elems)]  # (node, survivors) to visit, next on top
+    while stack:
+        node, survivors = stack.pop()
         if len(node) == length:
-            return node
+            best = node
+            break
         if expanded >= budget.max_candidates:
             # Global node budget: give up on this region rather than
             # exploring an adversarial tree forever.
             truncated = True
-            return None
+            continue
         ch = er_children(node, c, universe, budget, survivors)
         expanded += 1
         if not ch.complete:
             truncated = True
-        for j, below in zip(ch.values, ch.classes):
-            found = extend(node + (j,), below)
-            if found is not None:
-                return found
-        return None
-
-    best = extend((), universe.elems)
+        stack += [(node + (j,), below) for j, below in zip(ch.values, ch.classes)][::-1]
     if best is None:
         # No branch of full length: report the longest leftmost prefix.
-        node: tuple = ()
+        node = ()
         survivors = universe.elems
         while True:
             ch = er_children(node, c, universe, budget, survivors)

@@ -423,6 +423,17 @@ def test_chain_start_outside_the_universe_is_a_config_error(tmp_path, capsys, un
         f"config error: --start {start} is not an element of --universe {universe}\n")
 
 
+@pytest.mark.parametrize("start", ["x", "3.5", ""])
+def test_chain_start_that_is_not_a_number_names_the_flag(tmp_path, capsys, start):
+    w = tmp_path / "w.json"
+    code = run_experiment(["search", "--mode", "chain", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..12", f"--start={start}",
+                           "--out-witness", str(w)])
+    assert code == CONFIG_ERROR and not w.exists()
+    assert capsys.readouterr().err == (
+        f"config error: --start takes 'min' or a universe element, got {start!r}\n")
+
+
 def test_verify_reads_the_witness_file_once(tmp_path, monkeypatch):
     w = tmp_path / "w.json"
     assert run_experiment(["search", "--coloring", "parity-of-min",

@@ -83,6 +83,94 @@ def test_exact_coloring_rejects_bad_input_on_every_call():
     assert len(c._memo) == 1
 
 
+def _raises_when_sum_is_a_multiple_of_5(s):
+    if sum(s.elems) % 5 == 0:
+        raise ArithmeticError(f"no color for {s.elems}")
+    return s.min() % 2
+
+
+_STAGE_SOURCES = {
+    "plain": lambda: ExactColoring(lambda s: sum(s.elems) % 2),
+    "fn raises": lambda: ExactColoring(_raises_when_sum_is_a_multiple_of_5),
+    "palette breach": lambda: ExactColoring(lambda s: sum(s.elems) % 4 - 1),
+    "regressive breach": lambda: RegressiveColoring(lambda s: sum(s.elems) % (s.min() + 1)),
+}
+
+
+@st.composite
+def stage_reads(draw):
+    """A stage minimum, a coloring kind and a read sequence: mostly
+    well-formed stage tuples, with malformed ones mixed in."""
+    a = draw(st.integers(2, 4))
+    good = st.lists(st.integers(a + 1, a + 7), min_size=a, max_size=a,
+                    unique=True).map(lambda xs: tuple(sorted(xs)))
+    bad = st.one_of(
+        good.map(lambda t: t[::-1]),                       # not increasing
+        good.map(lambda t: (-t[0],) + t[1:]),              # a negative entry
+        good.map(lambda t: t[:-1] + (True,)),              # a bool entry
+        good.map(lambda t: t[:-1]),                        # too short
+        good.map(lambda t: t + (t[-1] + 1,)),              # too long
+        st.tuples(st.integers(0, a), good).map(lambda p: (p[0],) + p[1][1:]),  # at or below a
+    )
+    reads = draw(st.lists(st.one_of(good, good, good, bad), max_size=30))
+    return a, draw(st.sampled_from(sorted(_STAGE_SOURCES))), reads
+
+
+def _read_by_stream(stage, reads):
+    colors, error = [], None
+    try:
+        for v in stage.colors(iter(reads)):
+            colors.append(v)
+    except Exception as exc:
+        error = (type(exc), str(exc))
+    return colors, list(stage._memo.items()), error
+
+
+def _read_by_calls(stage, reads):
+    colors, error = [], None
+    for t in reads:
+        try:
+            colors.append(stage(t))
+        except Exception as exc:
+            error = (type(exc), str(exc))
+            break
+    return colors, list(stage._memo.items()), error
+
+
+def _read_by_contract(stage, reads):
+    # The read contract spelled out: memo first; a miss builds the
+    # validated set, evaluates, checks, checks the palette, then stores.
+    colors, memo = [], {}
+    for t in reads:
+        try:
+            v = memo.get(t)
+            if v is None:
+                s = ExactlyLargeSet(FinSet(stage._prefix + t))
+                v = stage._fn(s)
+                stage._check(s, v)
+                if not 0 <= v < stage.palette:
+                    raise ValueError(f"color {v} outside palette of {stage.palette}")
+                memo[t] = v
+        except Exception as exc:
+            return colors, list(memo.items()), (type(exc), str(exc))
+        colors.append(v)
+    return colors, list(memo.items()), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage_reads())
+def test_stage_stream_reads_as_calls_do(case):
+    # The stream evaluates its misses itself; it must store, return and
+    # raise exactly what one validated call per tuple does, and a stream
+    # stopped at its first error must have stored what the calls stored.
+    # Both must keep the contract, in the same order.
+    a, kind, reads = case
+    c = _STAGE_SOURCES[kind]()
+    expected = _read_by_contract(c.at_min(a), reads)
+    assert _read_by_stream(c.at_min(a), reads) == expected
+    assert _read_by_calls(c.at_min(a), reads) == expected
+
+
 def test_regressive_coloring_guard():
     good = RegressiveColoring(lambda s: max(s.min() - 1, 0))
     assert good(els(3, 4, 5, 6)) == 2

@@ -1,5 +1,9 @@
+import gc
+import inspect
 import json
 import random
+import sys
+import weakref
 from bisect import bisect_right
 from itertools import combinations, count
 
@@ -335,6 +339,18 @@ def test_leftmost_path_constant():
     assert pr.path == FinSet([0, 1, 2, 3, 4]) and pr.stable
 
 
+def test_leftmost_path_is_deeper_than_the_recursion_limit():
+    # The branch search is a loop: a path longer than the interpreter's
+    # recursion limit allows is still found.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        pr = leftmost_path(FiniteColoring(2, lambda t: 0), FinSet(range(300)), 250)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert pr.path == FinSet(range(250)) and pr.stable
+
+
 def test_leftmost_path_flip_coloring():
     # color flips once at a threshold; the path keeps the surviving class
     c = FiniteColoring(2, lambda t: 1 if t[1] >= 5 else 0)
@@ -538,7 +554,7 @@ def test_memo_hits_make_no_calls(monkeypatch):
     monkeypatch.setattr(ExactColoring, "__call__", counting_call)
     w = f_a_extract(5, stage, FinSet(range(6, 20)), 14)
     assert w.verified and evaluations == len(stage._memo) == 2002
-    assert calls == evaluations
+    assert calls == 0
 
 
 def test_view_over_a_view_is_flat():
@@ -591,6 +607,28 @@ def test_chain_sum_parity_verifies():
     w = iterate_rtomega(c, FinSet(range(2, 41)))
     assert w.verified
     assert verify_exact_homogeneous(w.set, c).passed
+
+
+def test_finished_stages_are_freed_without_gc(monkeypatch):
+    # Each stage coloring, memo and all, must die when its extraction
+    # returns, not wait for a cycle collection.
+    stages = []
+    at_min = ExactColoring.at_min
+
+    def recording_at_min(self, a):
+        stage = at_min(self, a)
+        stages.append(weakref.ref(stage))
+        return stage
+
+    monkeypatch.setattr(ExactColoring, "at_min", recording_at_min)
+    c = ExactColoring(lambda s: s.min() % 2, name="parity-of-min")
+    gc.disable()
+    try:
+        iterate_rtomega(c, FinSet(range(2, 17)))
+        alive = [ref for ref in stages if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(stages) == 7 and alive == []
 
 
 def test_chain_start_override():

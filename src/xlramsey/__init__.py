@@ -66,7 +66,6 @@ from .ramsey import (
     f_a_extract,
     iterate_rtomega,
     leftmost_path,
-    load_witness,
     min_homog_search,
     verify_exact_homogeneous,
     verify_min_homogeneous,

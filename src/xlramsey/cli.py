@@ -10,8 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import json
 import sys
 import zlib
@@ -35,7 +33,6 @@ from .ramsey import (
     Witness,
     exact_homog_search,
     iterate_rtomega,
-    load_witness,
     min_homog_search,
     verify_exact_homogeneous,
     verify_min_homogeneous,
@@ -133,6 +130,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _write_csv(path, header: list, rows: list) -> None:
+    import csv  # only verbs that write a CSV pay for the import
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -248,21 +247,35 @@ def _cmd_search(args) -> int:
     return OK
 
 
-_REPLAYED_KEYS = ("coloring", "seed", "oracle", "programs")
+# Recorded config keys a witness replays, with the type each must have.
+_REPLAYED_KEYS = {"coloring": str, "seed": int, "oracle": str, "programs": str}
 
 
-def _cmd_verify(args) -> int:
+def _replay_witness(args) -> None:
+    """Read the witness file of a verb that takes ``--witness`` once, into
+    ``args.source``.  Witness files emitted by `search` are
+    self-describing: what this run does not set itself is replayed from
+    the recorded config."""
+    if not getattr(args, "witness", None):
+        return  # _require names the missing flag
     with open(args.witness, encoding="utf-8") as fh:
         data = json.load(fh)
-    witness = Witness.from_dict(data)
-    # Witness files emitted by `search` are self-describing: what this
-    # run does not set itself is replayed from the recorded config.
+    args.source = Witness.from_dict(data)
     recorded = data.get("config") or {}
     if not isinstance(recorded, dict):
         raise ConfigError("the witness's config is not a JSON object")
-    for key in _REPLAYED_KEYS:
-        if key not in args.given and key in recorded:
-            setattr(args, key, recorded[key])
+    for key, kind in _REPLAYED_KEYS.items():
+        if key in args.given or key not in recorded:
+            continue
+        value = recorded[key]
+        if value is not None and not isinstance(value, kind):
+            raise ConfigError(f"the witness's recorded {key} is not a "
+                              f"{kind.__name__}: {value!r}")
+        setattr(args, key, value)
+
+
+def _cmd_verify(args) -> int:
+    witness = args.source
     if args.coloring is None:
         raise ConfigError("no coloring given and none recorded in the witness")
     oracle = parse_oracle(args.oracle)
@@ -280,7 +293,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    witness = load_witness(args.witness)
+    # m_decode reads comega tuples; a witness that records no coloring
+    # is taken to be one.
+    recorded = getattr(args, "coloring", None)
+    if recorded is not None and recorded.strip() != "comega":
+        raise ConfigError(f"no decoder for {recorded} witnesses")
+    witness = args.source
     oracle = parse_oracle(args.oracle)
     cutoff = DEFAULT_TRUTH_CUTOFF if args.truth_cutoff is None else args.truth_cutoff
     if cutoff <= 0:
@@ -307,7 +325,7 @@ def _cmd_reduce(args) -> int:
     oracle = parse_oracle(args.oracle)
     programs = _load_programs(args.programs)
     coloring = parse_coloring(args.coloring, oracle, args.seed, programs)
-    witness = load_witness(args.witness)
+    witness = args.source
     if args.direction == "km-to-rt":
         reduction = km_to_rt(coloring)
         report = verify_exact_homogeneous(witness.set, reduction.coloring)
@@ -345,12 +363,41 @@ def _cmd_reduce(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI file; [experiment] keys supply defaults")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--oracle", default=None, help="empty (default) or {a,b,c}")
-    p.add_argument("--programs", default=None,
-                   help="program-universe file restricting jump contributors")
+# Per verb: its help line, the function that runs it, the options it
+# requires, and its own options, which come before the common ones.
+_VERBS = {
+    "enumerate": ("stream exactly large subsets", _cmd_enumerate, ("universe",), (
+        ("--universe", {}), ("--out", {}))),
+    "color": ("trace a coloring over a universe", _cmd_color, ("coloring", "universe"), (
+        ("--coloring", {}), ("--universe", {}),
+        ("--limit", {"type": int, "default": None}), ("--out", {}))),
+    "search": ("find witnesses", _cmd_search, ("coloring", "universe"), (
+        ("--mode", {"default": "chain",
+                    "choices": ["chain", "homogeneous", "min-homogeneous"]}),
+        ("--coloring", {}), ("--universe", {}), ("--k", {"type": int, "default": 4}),
+        ("--start", {"default": None, "help": "chain start: 'min' (default) or a number"}),
+        ("--max-candidates", {"type": int, "default": 1_000_000}),
+        ("--max-universe", {"type": int, "default": 128}),
+        ("--out-witness", {}), ("--out-report", {}))),
+    "verify": ("re-verify a witness file", _cmd_verify, ("witness",), (
+        ("--witness", {}), ("--coloring", {"default": None}), ("--out", {}))),
+    "decode": ("read jump membership off a witness", _cmd_decode, ("witness", "query"), (
+        ("--witness", {}),
+        ("--query", {"action": "append", "help": "i,j pairs; repeatable"}),
+        ("--truth-cutoff", {"type": int, "default": None}), ("--out", {}))),
+    "reduce": ("translate witnesses between principles", _cmd_reduce,
+               ("direction", "coloring", "witness"), (
+        ("--direction", {"choices": ["km-to-rt", "rt-via-km"]}),
+        ("--coloring", {}), ("--witness", {}), ("--out-witness", {}))),
+}
+
+_COMMON_OPTIONS = (
+    ("--config", {"help": "INI file; [experiment] keys supply defaults"}),
+    ("--seed", {"type": int, "default": 0}),
+    ("--oracle", {"default": None, "help": "empty (default) or {a,b,c}"}),
+    ("--programs", {"default": None,
+                    "help": "program-universe file restricting jump contributors"}),
+)
 
 
 def _require(args, *names) -> None:
@@ -359,73 +406,32 @@ def _require(args, *names) -> None:
             raise ConfigError(f"missing required option --{name}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Given a verb, it holds that verb's subparser
+    alone and reads as the full parser does: usage lines and errors are
+    the same.  Without one, or for a name that is no verb, it holds all
+    six, for the top-level help and errors."""
     # Required-ness is validated after config-file merging, so every
     # option is optional at the argparse level.
     parser = argparse.ArgumentParser(
         prog="xlramsey",
         description="experiments on colorings of exactly large sets",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="stream exactly large subsets")
-    p.add_argument("--universe")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_enumerate, required=("universe",))
-
-    p = sub.add_parser("color", help="trace a coloring over a universe")
-    p.add_argument("--coloring")
-    p.add_argument("--universe")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_color, required=("coloring", "universe"))
-
-    p = sub.add_parser("search", help="find witnesses")
-    p.add_argument("--mode", default="chain",
-                   choices=["chain", "homogeneous", "min-homogeneous"])
-    p.add_argument("--coloring")
-    p.add_argument("--universe")
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--start", default=None,
-                   help="chain start: 'min' (default) or a number")
-    p.add_argument("--max-candidates", type=int, default=1_000_000)
-    p.add_argument("--max-universe", type=int, default=128)
-    p.add_argument("--out-witness")
-    p.add_argument("--out-report")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_search, required=("coloring", "universe"))
-
-    p = sub.add_parser("verify", help="re-verify a witness file")
-    p.add_argument("--witness")
-    p.add_argument("--coloring", default=None)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify, required=("witness",))
-
-    p = sub.add_parser("decode", help="read jump membership off a witness")
-    p.add_argument("--witness")
-    p.add_argument("--query", action="append",
-                   help="i,j pairs; repeatable")
-    p.add_argument("--truth-cutoff", type=int, default=None)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_decode, required=("witness", "query"))
-
-    p = sub.add_parser("reduce", help="translate witnesses between principles")
-    p.add_argument("--direction",
-                   choices=["km-to-rt", "rt-via-km"])
-    p.add_argument("--coloring")
-    p.add_argument("--witness")
-    p.add_argument("--out-witness")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_reduce, required=("direction", "coloring", "witness"))
-
-    # Config-file values are typed like the command line's; only option
-    # destinations may be set from a config file.
-    for cmd in sub.choices.values():
-        cmd.set_defaults(option_actions={a.dest: a for a in cmd._actions})
+    single = verb in _VERBS
+    # A single verb's usage line names all six verbs, as the full
+    # parser's does.  Not on the full parser: there a metavar would also
+    # rename ``command`` in the "required" and "invalid choice" errors.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_VERBS) + "}" if single else None)
+    for name in [verb] if single else _VERBS:
+        help_line, fn, required, options = _VERBS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options + _COMMON_OPTIONS:
+            p.add_argument(flag, **kwargs)
+        # Config-file values are typed like the command line's; only
+        # option destinations may be set from a config file.
+        p.set_defaults(fn=fn, required=required,
+                       option_actions={a.dest: a for a in p._actions})
     return parser
 
 
@@ -435,6 +441,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     line.  Every option set here joins ``args.given``."""
     if not getattr(args, "config", None):
         return
+    import configparser  # only runs given --config pay for the import
+
     cp = configparser.ConfigParser()
     loaded = cp.read(args.config)
     if not loaded:
@@ -459,7 +467,8 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def run_experiment(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # A fresh parser per call, for the invoked verb only.
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     # Options given on the command line, in any form argparse accepts
     # (abbreviated, --opt=value): a second parse with the verb's defaults
@@ -470,6 +479,7 @@ def run_experiment(argv=None) -> int:
     args.given = set(vars(parser.parse_args(argv))) & set(args.option_actions)
     try:
         _apply_config(args)
+        _replay_witness(args)
         _require(args, *getattr(args, "required", ()))
         return args.fn(args)
     except ConfigError as exc:

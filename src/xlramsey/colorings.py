@@ -11,9 +11,8 @@ from __future__ import annotations
 import copy
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .decoders import _ApproxJumpOracle, _halts, _no_threshold_in
 from .largesets import ExactlyLargeSet, FinSet
@@ -302,8 +301,7 @@ def km_dh_coloring(X: OracleSet, programs=None) -> RegressiveColoring:
 # ---------------------------------------------------------------------------
 # regressive <-> two-color reductions
 
-@dataclass(frozen=True)
-class KmRtReduction:
+class KmRtReduction(NamedTuple):
     """Two-coloring derived from a regressive coloring, plus the witness
     transform (shift every element down by one)."""
 

@@ -14,8 +14,7 @@ the gap makes cutoff truth reliable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .largesets import FinSet, enumerate_exactly_large
 from .machines import (
@@ -48,8 +47,7 @@ def _no_threshold_in(k: int, oracle: OracleSet, lo: int, hi: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DecodeVerdict:
+class DecodeVerdict(NamedTuple):
     """One decoded membership answer.
 
     ``answer`` is None for an explicit insufficient-data verdict;
@@ -195,18 +193,16 @@ def m_decode(
 # ---------------------------------------------------------------------------
 # reconstruction from disagreement-hardness witnesses
 
-@dataclass(frozen=True)
-class LevelReconstruction:
+class LevelReconstruction(NamedTuple):
     level: int
     members: FinSet
     covered_below: int
 
 
-@dataclass(frozen=True)
-class DhReconstruction:
+class DhReconstruction(NamedTuple):
     levels: tuple[LevelReconstruction, ...]
     partial: bool
-    uncovered: dict = field(default_factory=dict)
+    uncovered: dict
 
 
 def _lex_least_tuple(H: FinSet, h: int, bound_index: int, code: int) -> Optional[tuple]:

@@ -10,9 +10,7 @@ every run is reproducible and every approximation visible.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -21,34 +19,48 @@ from .colorings import ExactColoring, FiniteColoring, _pigeonhole
 from .largesets import FinSet, enumerate_exactly_large
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class _BudgetFields(NamedTuple):
+    max_universe: int
+    max_candidates: int
+
+
+class SearchBudget(_BudgetFields):
     """Caps the finite searches standing in for infinitary questions."""
 
-    max_universe: int = 128
-    max_candidates: int = 1_000_000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_universe <= 0 or self.max_candidates <= 0:
+    def __new__(cls, max_universe: int = 128, max_candidates: int = 1_000_000):
+        if max_universe <= 0 or max_candidates <= 0:
             raise ValueError("budget bounds must be positive")
+        return super().__new__(cls, max_universe, max_candidates)
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass
-class Witness:
+class _WitnessFields(NamedTuple):
+    set: FinSet
+    kind: str  # "homogeneous" | "min-homogeneous" | "chain"
+    color: Optional[int]
+    per_min_colors: Optional[dict[int, int]]
+    verified: bool
+    budget_used: dict
+
+
+class Witness(_WitnessFields):
     """A found set together with its color data and verification state.
 
     ``verified`` is only set after the matching verifier has passed.
+    Each witness built without ``budget_used`` gets a fresh dict.
     """
 
-    set: FinSet
-    kind: str  # "homogeneous" | "min-homogeneous" | "chain"
-    color: Optional[int] = None
-    per_min_colors: Optional[dict[int, int]] = None
-    verified: bool = False
-    budget_used: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, set: FinSet, kind: str, color: Optional[int] = None,
+                per_min_colors: Optional[dict[int, int]] = None,
+                verified: bool = False, budget_used: Optional[dict] = None):
+        return super().__new__(cls, set, kind, color, per_min_colors, verified,
+                               {} if budget_used is None else budget_used)
 
     def to_dict(self) -> dict:
         return {
@@ -83,11 +95,6 @@ class Witness:
         )
 
 
-def load_witness(path) -> Witness:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Witness.from_dict(json.load(fh))
-
-
 class SearchResult(NamedTuple):
     """Outcome of an exhaustive search; a None witness together with
     exhaustive=True is a certificate that the whole space was scanned."""
@@ -100,8 +107,7 @@ class SearchResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # verifiers (the independent oracles)
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     passed: bool
     kind: str
     checked: int

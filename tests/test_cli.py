@@ -10,11 +10,13 @@ import pytest
 
 import xlramsey
 
+import xlramsey.cli as cli
 from xlramsey.cli import (
     CONFIG_ERROR,
     OK,
     ConfigError,
     VERIFY_FAILURE,
+    build_parser,
     parse_coloring,
     parse_oracle,
     parse_universe,
@@ -354,6 +356,8 @@ def test_reduce_rt_via_km_rejects_non_min_homogeneous(tmp_path, capsys):
     '{"kind": "homogeneous", "set": 5}',
     '{"kind": "homogeneous", "set": [3, 4], "per_min": [1]}',
     '{"kind": "homogeneous", "set": [3, 4], "config": 5}',
+    '{"kind": "homogeneous", "set": [3, 4], "config": {"oracle": 5}}',
+    '{"kind": "homogeneous", "set": [3, 4], "config": {"seed": "x"}}',
 ])
 def test_malformed_witness_file_is_a_config_error(tmp_path, capsys, content):
     w = tmp_path / "w.json"
@@ -362,8 +366,6 @@ def test_malformed_witness_file_is_a_config_error(tmp_path, capsys, content):
                  ["decode", "--witness", str(w), "--query", "1,1"],
                  ["reduce", "--direction", "rt-via-km", "--coloring", "parity-of-min",
                   "--witness", str(w)]):
-        if "config" in content and argv[0] != "verify":
-            continue  # only verify reads the recorded config
         assert run_experiment(argv) == CONFIG_ERROR
         assert capsys.readouterr().err.startswith("config error: ")
 
@@ -448,3 +450,165 @@ def test_verify_reads_the_witness_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr("builtins.open", counting_open)
     assert run_experiment(["verify", "--witness", str(w)]) == OK
     assert opened.count(str(w)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the parser of one verb
+
+VERBS = ("enumerate", "color", "search", "verify", "decode", "reduce")
+
+
+def parse_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out, err = capsys.readouterr()
+    return out, err, exc.value.code
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("flags", [
+    ["-h"], ["--nosuch"], ["--seed", "x"], ["--k", "x"], ["--mode", "x"],
+    ["--direction", "x"], ["--nosuch", "1", "--seed", "x"],
+])
+def test_single_verb_parser_reads_as_the_full_parser(capsys, monkeypatch, verb, flags):
+    monkeypatch.setenv("COLUMNS", "80")
+    single = build_parser(verb)
+    assert list(single._subparsers._group_actions[0].choices) == [verb]
+    want = parse_outcome(build_parser(), [verb] + flags, capsys)
+    assert want[2] in (0, 2) and want[0] + want[1]
+    assert parse_outcome(single, [verb] + flags, capsys) == want
+
+
+USAGE = "usage: xlramsey [-h] {enumerate,color,search,verify,decode,reduce} ...\n"
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    (["-h"], USAGE + """
+experiments on colorings of exactly large sets
+
+positional arguments:
+  {enumerate,color,search,verify,decode,reduce}
+    enumerate           stream exactly large subsets
+    color               trace a coloring over a universe
+    search              find witnesses
+    verify              re-verify a witness file
+    decode              read jump membership off a witness
+    reduce              translate witnesses between principles
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ([], "", USAGE + "xlramsey: error: the following arguments are required: command\n"),
+    (["nosuch"], "", USAGE + "xlramsey: error: argument command: invalid choice: 'nosuch' "
+     "(choose from 'enumerate', 'color', 'search', 'verify', 'decode', 'reduce')\n"),
+])
+def test_top_level_usage_and_errors(capsys, monkeypatch, argv, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_experiment(argv)
+    assert capsys.readouterr() == (out, err)
+    assert exc.value.code == (0 if argv == ["-h"] else 2)
+
+
+def test_cli_import_loads_no_unused_modules():
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    code = ("import sys; before = set(sys.modules); import xlramsey.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    added = set(eval(proc.stdout))
+    assert "xlramsey.cli" in added
+    assert not added & {"dataclasses", "inspect", "configparser", "csv"}
+
+
+def test_no_record_reaches_json_dump(tmp_path, monkeypatch):
+    # json writes any tuple, a NamedTuple record included, as a list.
+    dumped = []
+    real_dump = json.dump
+
+    def checking_dump(obj, *args, **kwargs):
+        dumped.append(obj)
+        return real_dump(obj, *args, **kwargs)
+
+    def records(obj):
+        if hasattr(obj, "_fields"):
+            yield obj
+        items = obj.values() if isinstance(obj, dict) else obj
+        if isinstance(obj, (dict, list, tuple)):
+            for item in items:
+                yield from records(item)
+
+    monkeypatch.setattr(json, "dump", checking_dump)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["search", "--coloring", "parity-of-min", "--universe", "interval:2..14",
+         "--out-witness", "c.json"],
+        ["verify", "--witness", "c.json", "--out", "v.json"],
+        ["verify", "--witness", "c.json", "--coloring", "parity-of-sum", "--out", "f.json"],
+        ["search", "--mode", "min-homogeneous", "--coloring", "second-mod-min",
+         "--universe", "interval:2..12", "--k", "5", "--out-witness", "m.json"],
+        ["reduce", "--direction", "rt-via-km", "--coloring", "second-mod-min",
+         "--witness", "m.json", "--out-witness", "r.json"],
+        ["reduce", "--direction", "km-to-rt", "--coloring", "min-minus-one",
+         "--witness", "m.json", "--out-witness", "k.json"],
+    ):
+        run_experiment(argv)
+    assert len(dumped) == 6
+    assert [r for obj in dumped for r in records(obj)] == []
+
+
+# ---------------------------------------------------------------------------
+# witnesses replay their recorded config
+
+def test_decode_refuses_a_witness_of_another_coloring(tmp_path, capsys):
+    # The parent answered 2,3 with 0 (truth 1) by running the comega
+    # decoder on this verified dh witness.
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--mode", "chain", "--coloring", "dh",
+                           "--oracle", "empty", "--universe", "evens:2..30",
+                           "--out-witness", str(w)]) == OK
+    assert read_json(w)["verified"]
+    capsys.readouterr()
+    out = tmp_path / "verdicts.csv"
+    code = run_experiment(["decode", "--witness", str(w), "--query", "2,3",
+                           "--truth-cutoff", "10000", "--out", str(out)])
+    assert code == CONFIG_ERROR and not out.exists()
+    assert capsys.readouterr() == ("", "config error: no decoder for dh witnesses\n")
+
+
+def test_reduce_replays_the_recorded_coloring(tmp_path):
+    w, out = tmp_path / "mh.json", tmp_path / "out.json"
+    assert run_experiment(["search", "--mode", "min-homogeneous",
+                           "--coloring", "second-mod-min", "--universe", "interval:2..16",
+                           "--k", "5", "--out-witness", str(w)]) == OK
+    assert run_experiment(["reduce", "--direction", "rt-via-km", "--witness", str(w),
+                           "--out-witness", str(out)]) == OK
+    payload = read_json(out)
+    assert payload["verified"] and payload["config"]["coloring"] == "second-mod-min"
+    # an explicit flag still wins over the recorded value
+    assert run_experiment(["reduce", "--direction", "rt-via-km", "--coloring",
+                           "parity-of-min", "--witness", str(w),
+                           "--out-witness", str(out)]) == OK
+    assert read_json(out)["config"]["coloring"] == "parity-of-min"
+
+
+def test_decode_replays_the_recorded_oracle(tmp_path, monkeypatch):
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--mode", "chain", "--coloring", "comega",
+                           "--oracle", "{0,3}", "--universe", "interval:2..14",
+                           "--out-witness", str(w)]) == OK
+    # At desk scale every oracle gives the same verdicts, so the oracle
+    # the decoder was given is read off the parse.
+    specs = []
+    real_parse = cli.parse_oracle
+
+    def recording_parse(spec):
+        specs.append(spec)
+        return real_parse(spec)
+
+    monkeypatch.setattr(cli, "parse_oracle", recording_parse)
+    argv = ["decode", "--witness", str(w), "--query", "1,1"]
+    assert run_experiment(argv) == OK
+    assert run_experiment(argv + ["--oracle", "empty"]) == OK
+    assert specs == ["{0,3}", "empty"]

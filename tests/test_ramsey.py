@@ -33,7 +33,6 @@ from xlramsey.ramsey import (
     f_a_extract,
     iterate_rtomega,
     leftmost_path,
-    load_witness,
     min_homog_search,
     verify_exact_homogeneous,
     verify_min_homogeneous,
@@ -729,17 +728,31 @@ def test_verify_min_homog_counterexample_shares_minimum():
 # ---------------------------------------------------------------------------
 # witnesses
 
-def test_witness_json_roundtrip(tmp_path):
+def test_witness_json_roundtrip():
     w = Witness(
         FinSet([2, 4, 6]), "min-homogeneous",
         per_min_colors={2: 1}, verified=True,
         budget_used={"examined": 3},
     )
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps(w.to_dict()))
-    again = load_witness(path)
+    again = Witness.from_dict(json.loads(json.dumps(w.to_dict())))
     assert again.set == w.set and again.kind == w.kind
     assert again.per_min_colors == {2: 1} and again.verified
+
+
+@pytest.mark.parametrize("bounds", [(0, 1), (1, 0), (-3, 5)])
+def test_search_budget_bounds_must_be_positive(bounds):
+    with pytest.raises(ValueError, match="budget bounds must be positive"):
+        SearchBudget(*bounds)
+    with pytest.raises(ValueError, match="budget bounds must be positive"):
+        SearchBudget(max_universe=bounds[0], max_candidates=bounds[1])
+
+
+def test_witnesses_built_without_budget_share_no_dict():
+    a = Witness(FinSet([2, 3, 4]), "homogeneous")
+    b = Witness(FinSet([2, 3, 4]), "homogeneous")
+    assert a.budget_used == {} and a.budget_used is not b.budget_used
+    a.budget_used["examined"] = 1
+    assert b.budget_used == {} and Witness(FinSet(), "chain").budget_used == {}
 
 
 def test_exact_homog_search_finds_verified_witness():

@@ -29,6 +29,7 @@ from .decoders import DEFAULT_TRUTH_CUTOFF, m_decode
 from .largesets import FinSet, enumerate_exactly_large
 from .machines import EMPTY, ExplicitOracle, load_program_universe
 from .ramsey import (
+    DEFAULT_BUDGET,
     SearchBudget,
     Witness,
     exact_homog_search,
@@ -138,10 +139,6 @@ def _write_csv(path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def _resolved(args, keys) -> dict:
-    return {k: getattr(args, k.replace("-", "_"), None) for k in keys}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -160,9 +157,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    oracle = parse_oracle(args.oracle)
-    programs = _load_programs(args.programs)
-    coloring = parse_coloring(args.coloring, oracle, args.seed, programs)
+    coloring = _coloring(args)
     universe = parse_universe(args.universe)
     rows = []
     for i, s in enumerate(enumerate_exactly_large(universe)):
@@ -177,20 +172,23 @@ def _cmd_color(args) -> int:
     return OK
 
 
-def _load_programs(path):
-    if not path:
-        return None
-    return [p.index for p in load_program_universe(path)]
+def _coloring(args) -> ExactColoring:
+    oracle = parse_oracle(args.oracle)
+    programs = ([p.index for p in load_program_universe(args.programs)]
+                if args.programs else None)
+    return parse_coloring(args.coloring, oracle, args.seed, programs)
 
 
-def _witness_payload(w: Witness, args, extra_keys) -> dict:
+# Options that name the files a run reads or writes.  A witness records
+# every other option of the verb that wrote it.
+_UNRECORDED = {"out_witness", "out_report", "config", "witness"}
+
+
+def _witness_payload(w: Witness, args) -> dict:
     payload = w.to_dict()
-    payload["config"] = _resolved(args, extra_keys)
+    payload["config"] = {dest: getattr(args, dest) for dest in _options(args.command)
+                         if dest not in _UNRECORDED}
     return payload
-
-
-_SEARCH_KEYS = ["mode", "coloring", "oracle", "universe", "k", "start",
-                "max_candidates", "max_universe", "seed", "programs"]
 
 
 def _reject_unread(args, *dests) -> None:
@@ -203,9 +201,7 @@ def _reject_unread(args, *dests) -> None:
 
 
 def _cmd_search(args) -> int:
-    oracle = parse_oracle(args.oracle)
-    programs = _load_programs(args.programs)
-    coloring = parse_coloring(args.coloring, oracle, args.seed, programs)
+    coloring = _coloring(args)
     universe = parse_universe(args.universe)
     budget = SearchBudget(
         max_universe=args.max_universe, max_candidates=args.max_candidates
@@ -235,9 +231,8 @@ def _cmd_search(args) -> int:
     else:
         raise ConfigError(f"unknown mode: {args.mode!r}")
 
-    payload = _witness_payload(witness, args, _SEARCH_KEYS)
     if args.out_witness:
-        _write_json(args.out_witness, payload)
+        _write_json(args.out_witness, _witness_payload(witness, args))
     if args.out_report:
         rows = [[witness.kind, witness.set.render(), witness.color,
                  int(witness.verified)]]
@@ -253,7 +248,7 @@ _REPLAYED_KEYS = {"coloring": str, "seed": int, "oracle": str, "programs": str}
 
 def _replay_witness(args) -> None:
     """Read the witness file of a verb that takes ``--witness`` once, into
-    ``args.source``.  Witness files emitted by `search` are
+    ``args.source``.  The witnesses `search` and `reduce` write are
     self-describing: what this run does not set itself is replayed from
     the recorded config."""
     if not getattr(args, "witness", None):
@@ -278,9 +273,7 @@ def _cmd_verify(args) -> int:
     witness = args.source
     if args.coloring is None:
         raise ConfigError("no coloring given and none recorded in the witness")
-    oracle = parse_oracle(args.oracle)
-    programs = _load_programs(args.programs)
-    coloring = parse_coloring(args.coloring, oracle, args.seed, programs)
+    coloring = _coloring(args)
     verify = (verify_min_homogeneous if witness.kind == "min-homogeneous"
               else verify_exact_homogeneous)
     report = verify(witness.set, coloring)
@@ -300,18 +293,18 @@ def _cmd_decode(args) -> int:
         raise ConfigError(f"no decoder for {recorded} witnesses")
     witness = args.source
     oracle = parse_oracle(args.oracle)
-    cutoff = DEFAULT_TRUTH_CUTOFF if args.truth_cutoff is None else args.truth_cutoff
-    if cutoff <= 0:
-        raise ConfigError(f"--truth-cutoff must be positive, got {cutoff}")
+    if args.truth_cutoff <= 0:
+        raise ConfigError(f"--truth-cutoff must be positive, got {args.truth_cutoff}")
     rows = []
     header = ["level", "element", "answer", "truth", "consistent", "tuple", "note"]
     for q in args.query:
         try:
-            i_s, j_s = q.split(",")
-            i, j = int(i_s), int(j_s)
+            i, j = map(int, q.split(","))
         except ValueError:
+            i = j = -1
+        if i < 0 or j < 0:
             raise ConfigError(f"bad query (want i,j): {q!r}")
-        verdict = m_decode(i, j, witness.set, oracle, truth_cutoff=cutoff)
+        verdict = m_decode(i, j, witness.set, oracle, truth_cutoff=args.truth_cutoff)
         row = verdict.row()
         rows.append([row[h] for h in header])
     if args.out:
@@ -322,9 +315,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    oracle = parse_oracle(args.oracle)
-    programs = _load_programs(args.programs)
-    coloring = parse_coloring(args.coloring, oracle, args.seed, programs)
+    coloring = _coloring(args)
     witness = args.source
     if args.direction == "km-to-rt":
         reduction = km_to_rt(coloring)
@@ -354,8 +345,7 @@ def _cmd_reduce(args) -> int:
     else:
         raise ConfigError(f"unknown direction: {args.direction!r}")
     if args.out_witness:
-        _write_json(args.out_witness, _witness_payload(out, args,
-                    ["direction", "coloring", "oracle"]))
+        _write_json(args.out_witness, _witness_payload(out, args))
     print(f"{out.kind} witness {out.set.render()} verified={out.verified}")
     return OK if out.verified else VERIFY_FAILURE
 
@@ -369,22 +359,19 @@ _VERBS = {
     "enumerate": ("stream exactly large subsets", _cmd_enumerate, ("universe",), (
         ("--universe", {}), ("--out", {}))),
     "color": ("trace a coloring over a universe", _cmd_color, ("coloring", "universe"), (
-        ("--coloring", {}), ("--universe", {}),
-        ("--limit", {"type": int, "default": None}), ("--out", {}))),
+        ("--coloring", {}), ("--universe", {}), ("--limit", {"type": int}), ("--out", {}))),
     "search": ("find witnesses", _cmd_search, ("coloring", "universe"), (
-        ("--mode", {"default": "chain",
-                    "choices": ["chain", "homogeneous", "min-homogeneous"]}),
-        ("--coloring", {}), ("--universe", {}), ("--k", {"type": int, "default": 4}),
-        ("--start", {"default": None, "help": "chain start: 'min' (default) or a number"}),
-        ("--max-candidates", {"type": int, "default": 1_000_000}),
-        ("--max-universe", {"type": int, "default": 128}),
+        ("--mode", {"choices": ["chain", "homogeneous", "min-homogeneous"]}),
+        ("--coloring", {}), ("--universe", {}), ("--k", {"type": int}),
+        ("--start", {"help": "chain start: 'min' (default) or a number"}),
+        ("--max-candidates", {"type": int}), ("--max-universe", {"type": int}),
         ("--out-witness", {}), ("--out-report", {}))),
     "verify": ("re-verify a witness file", _cmd_verify, ("witness",), (
-        ("--witness", {}), ("--coloring", {"default": None}), ("--out", {}))),
+        ("--witness", {}), ("--coloring", {}), ("--out", {}))),
     "decode": ("read jump membership off a witness", _cmd_decode, ("witness", "query"), (
         ("--witness", {}),
         ("--query", {"action": "append", "help": "i,j pairs; repeatable"}),
-        ("--truth-cutoff", {"type": int, "default": None}), ("--out", {}))),
+        ("--truth-cutoff", {"type": int}), ("--out", {}))),
     "reduce": ("translate witnesses between principles", _cmd_reduce,
                ("direction", "coloring", "witness"), (
         ("--direction", {"choices": ["km-to-rt", "rt-via-km"]}),
@@ -393,11 +380,23 @@ _VERBS = {
 
 _COMMON_OPTIONS = (
     ("--config", {"help": "INI file; [experiment] keys supply defaults"}),
-    ("--seed", {"type": int, "default": 0}),
-    ("--oracle", {"default": None, "help": "empty (default) or {a,b,c}"}),
-    ("--programs", {"default": None,
-                    "help": "program-universe file restricting jump contributors"}),
+    ("--seed", {"type": int}),
+    ("--oracle", {"help": "empty (default) or {a,b,c}"}),
+    ("--programs", {"help": "program-universe file restricting jump contributors"}),
 )
+
+# The value of an option that neither the command line, the config file
+# nor the witness's recorded config sets; any other option takes None.
+_DEFAULTS = {"mode": "chain", "k": 4, "seed": 0, "truth_cutoff": DEFAULT_TRUTH_CUTOFF,
+             "max_candidates": DEFAULT_BUDGET.max_candidates,
+             "max_universe": DEFAULT_BUDGET.max_universe}
+
+
+def _options(verb: str) -> dict:
+    """The verb's options by destination, each with its ``add_argument``
+    keywords."""
+    return {flag[2:].replace("-", "_"): kwargs
+            for flag, kwargs in _VERBS[verb][3] + _COMMON_OPTIONS}
 
 
 def _require(args, *names) -> None:
@@ -411,8 +410,6 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     alone and reads as the full parser does: usage lines and errors are
     the same.  Without one, or for a name that is no verb, it holds all
     six, for the top-level help and errors."""
-    # Required-ness is validated after config-file merging, so every
-    # option is optional at the argparse level.
     parser = argparse.ArgumentParser(
         prog="xlramsey",
         description="experiments on colorings of exactly large sets",
@@ -424,21 +421,20 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{" + ",".join(_VERBS) + "}" if single else None)
     for name in [verb] if single else _VERBS:
-        help_line, fn, required, options = _VERBS[name]
-        p = sub.add_parser(name, help=help_line)
+        help_line, _, _, options = _VERBS[name]
+        # The parse sets only the options given on the command line;
+        # run_experiment fills in the rest and checks required ones.
+        p = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
         for flag, kwargs in options + _COMMON_OPTIONS:
             p.add_argument(flag, **kwargs)
-        # Config-file values are typed like the command line's; only
-        # option destinations may be set from a config file.
-        p.set_defaults(fn=fn, required=required,
-                       option_actions={a.dest: a for a in p._actions})
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace, options: dict) -> None:
     """Fill options not given on the command line from the config file's
-    [experiment] section.  An append option takes one item per nonempty
-    line.  Every option set here joins ``args.given``."""
+    [experiment] section, typed as the verb table types them.  An append
+    option takes one item per nonempty line.  Every option set here joins
+    ``args.given``."""
     if not getattr(args, "config", None):
         return
     import configparser  # only runs given --config pay for the import
@@ -451,14 +447,14 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ConfigError("config file needs an [experiment] section")
     for key, value in cp.items("experiment"):
         attr = key.replace("-", "_")
-        action = args.option_actions.get(attr)
-        if action is None or attr in args.given:
+        spec = options.get(attr)
+        if spec is None or attr in args.given:
             continue
-        appends = isinstance(action, argparse._AppendAction)
+        appends = spec.get("action") == "append"
         items = [v.strip() for v in value.splitlines() if v.strip()] if appends else [value]
-        if action.type is not None:
+        if "type" in spec:
             try:
-                items = [action.type(v) for v in items]
+                items = [spec["type"](v) for v in items]
             except ValueError:
                 raise ConfigError(f"bad value for {key} in config: {value!r}")
         setattr(args, attr, items if appends else items[0])
@@ -467,21 +463,21 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 def run_experiment(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # A fresh parser per call, for the invoked verb only.
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
-    # Options given on the command line, in any form argparse accepts
-    # (abbreviated, --opt=value): a second parse with the verb's defaults
-    # suppressed sets only those.  Config files and recorded witness
-    # configs only fill in the rest.
-    for action in args.option_actions.values():
-        action.default = argparse.SUPPRESS
-    args.given = set(vars(parser.parse_args(argv))) & set(args.option_actions)
+    # A fresh parser per call, for the invoked verb only.  Its one parse
+    # sets the options given on the command line, in any form argparse
+    # accepts (abbreviated, --opt=value).  Config files and recorded
+    # witness configs only fill in the rest, then the defaults.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    _, fn, required, _ = _VERBS[args.command]
+    options = _options(args.command)
+    args.given = set(vars(args)) & options.keys()
     try:
-        _apply_config(args)
+        _apply_config(args, options)
         _replay_witness(args)
-        _require(args, *getattr(args, "required", ()))
-        return args.fn(args)
+        for dest in options.keys() - vars(args).keys():
+            setattr(args, dest, _DEFAULTS.get(dest))
+        _require(args, *required)
+        return fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

@@ -448,12 +448,12 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 # jumps
 
-_JUMP_CACHE: dict[tuple, object] = {}  # "jp" keys hold a FinSet, "sj" keys a step
+_JUMP_CACHE: dict[tuple, tuple] = {}  # staged-jump steps, see staged_jump_levels
 
 
 class ProgramSet(frozenset):
     """A set of program indices that carries its jump-cache key, computed
-    once, so repeated jump calls with it skip sorting and interning."""
+    once, so repeated staged-jump calls with it skip sorting and interning."""
 
     def __init__(self, indices=()):
         self.token = _content_token(tuple(sorted(self)))
@@ -475,13 +475,6 @@ def jump_pairs_approx(oracle: OracleSet, s: int, programs=None) -> FinSet:
     contributing indices e to a curated finite list.  Only m, e < s can
     halt under bound s - 1, so the loop visits those pairs alone.
     """
-    okey = oracle.key
-    ckey = None
-    if okey is not None:
-        ckey = ("jp", okey, s, _programs_token(programs))
-        hit = _JUMP_CACHE.get(ckey)
-        if hit is not None:
-            return hit
     es = range(s) if programs is None else sorted(e for e in set(programs) if 0 <= e < s)
     codes = set()
     for m in range(s):
@@ -489,10 +482,7 @@ def jump_pairs_approx(oracle: OracleSet, s: int, programs=None) -> FinSet:
         for e in es:
             if halt_threshold(e, oracle, m, s - 1) is not None:
                 codes.add(base + e)
-    result = FinSet(sorted(codes))
-    if ckey is not None:
-        _JUMP_CACHE[ckey] = result
-    return result
+    return FinSet(sorted(codes))
 
 
 def staged_jump_levels(oracle: OracleSet, stages, programs=None) -> Iterator[FinSet]:
@@ -508,7 +498,7 @@ def staged_jump_levels(oracle: OracleSet, stages, programs=None) -> Iterator[Fin
     ptok = _programs_token(programs)
     over, okey = oracle, oracle.key
     for u in stages:
-        ckey = None if okey is None else ("sj", okey, u, ptok)
+        ckey = None if okey is None else (okey, u, ptok)
         step = None if ckey is None else _JUMP_CACHE.get(ckey)
         if step is None:
             if over is None:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -612,3 +613,78 @@ def test_decode_replays_the_recorded_oracle(tmp_path, monkeypatch):
     assert run_experiment(argv) == OK
     assert run_experiment(argv + ["--oracle", "empty"]) == OK
     assert specs == ["{0,3}", "empty"]
+
+
+def test_reduce_witness_of_a_seeded_coloring_verifies_without_flags(tmp_path):
+    # Were the seed left out of the reduce witness, this verify would
+    # replay `random` under seed 0 and exit 3.
+    mh, r = tmp_path / "mh.json", tmp_path / "r.json"
+    assert run_experiment(["search", "--mode", "min-homogeneous", "--coloring", "random",
+                           "--seed", "4", "--universe", "interval:2..14", "--k", "5",
+                           "--out-witness", str(mh)]) == OK
+    assert run_experiment(["reduce", "--direction", "rt-via-km", "--witness", str(mh),
+                           "--out-witness", str(r)]) == OK
+    config = read_json(r)["config"]
+    assert config["seed"] == 4 and config["programs"] is None
+    assert run_experiment(["verify", "--witness", str(r)]) == OK
+
+
+def test_witnesses_record_every_replayed_key(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["search", "--coloring", "parity-of-min", "--universe", "interval:2..12",
+         "--out-witness", "c.json"],
+        ["search", "--mode", "homogeneous", "--coloring", "constant:0",
+         "--universe", "interval:1..8", "--k", "4", "--out-witness", "h.json"],
+        ["search", "--mode", "min-homogeneous", "--coloring", "min-minus-one",
+         "--universe", "interval:2..12", "--k", "5", "--out-witness", "m.json"],
+        ["reduce", "--direction", "rt-via-km", "--witness", "m.json",
+         "--out-witness", "r.json"],
+        ["reduce", "--direction", "km-to-rt", "--coloring", "min-minus-one",
+         "--witness", "h.json", "--out-witness", "k.json"],
+    ):
+        assert run_experiment(argv) == OK, argv
+        assert set(cli._REPLAYED_KEYS) <= set(read_json(argv[-1])["config"]), argv
+
+
+HAND_WITNESS = {
+    "schema": "xlramsey.witness/1", "kind": "homogeneous",
+    "set": [2, 7000, 7500, 8000], "color": 1, "per_min": None,
+    "verified": True, "budget": {},
+}
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("enumerate", ["--universe", "{2,3,4}"]),
+    ("color", ["--coloring", "parity-of-min", "--universe", "interval:2..6"]),
+    ("search", ["--coloring", "random", "--se", "3", "--universe", "interval:2..12"]),
+    ("verify", ["--witness", "m.json"]),
+    ("decode", ["--witness", "hand.json", "--query", "1,1", "--oracle", "{0,5}",
+                "--config", "exp.ini"]),
+    ("reduce", ["--direction", "rt-via-km", "--witness", "m.json"]),
+])
+def test_argv_is_parsed_once_per_invocation(tmp_path, monkeypatch, verb, flags):
+    monkeypatch.chdir(tmp_path)
+    assert run_experiment(["search", "--mode", "min-homogeneous", "--coloring",
+                           "min-minus-one", "--universe", "interval:2..12", "--k", "5",
+                           "--out-witness", "m.json"]) == OK
+    (tmp_path / "hand.json").write_text(json.dumps(HAND_WITNESS))
+    (tmp_path / "exp.ini").write_text("[experiment]\ntruth-cutoff = 1000\n")
+    parsed = []
+    real_parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **kw: parsed.append(a) or real_parse(self, *a, **kw))
+    assert run_experiment([verb] + flags) == OK
+    assert len(parsed) == 1
+
+
+@pytest.mark.parametrize("query", ["-1,2", "1,-3", "1", "1,2,3", "a,1"])
+def test_decode_rejects_a_query_that_is_not_two_naturals(tmp_path, capsys, query):
+    # Not a verdict row for level -1, nor "index must be a natural",
+    # which names no query.
+    w, cfg = tmp_path / "w.json", tmp_path / "exp.ini"
+    w.write_text(json.dumps(HAND_WITNESS))
+    cfg.write_text(f"[experiment]\nquery = {query}\n")
+    for flags in ([f"--query={query}"], ["--config", str(cfg)]):
+        assert run_experiment(["decode", "--witness", str(w)] + flags) == CONFIG_ERROR
+        assert capsys.readouterr() == ("", f"config error: bad query (want i,j): {query!r}\n")

@@ -11,7 +11,8 @@ from __future__ import annotations
 import copy
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import ge, ne
 from typing import Callable, NamedTuple, Optional
 
 from .decoders import _ApproxJumpOracle, _halts, _no_threshold_in
@@ -24,7 +25,68 @@ from .machines import (
 )
 
 
-class FiniteColoring:
+class _FiniteMemo(dict):
+    """A FiniteColoring's memo.  Reading a missing tuple runs the whole
+    validated miss: the length and increasing checks, the evaluation,
+    the palette check and the store.  Holds no reference to its
+    coloring, so a coloring is freed without a cycle collection."""
+
+    __slots__ = ("fn", "dimension", "palette")
+
+    def __init__(self, fn, dimension: int, palette: int):
+        self.fn, self.dimension, self.palette = fn, dimension, palette
+
+    def __missing__(self, t: tuple) -> int:
+        if len(t) != self.dimension:
+            raise ValueError(f"expected {self.dimension}-tuple, got {t}")
+        if any(map(ge, t, t[1:])):
+            raise ValueError(f"tuple must increase: {t}")
+        v = self.fn(t)
+        if not 0 <= v < self.palette:
+            raise ValueError(f"color {v} outside palette of {self.palette}")
+        self[t] = v
+        return v
+
+
+class _ExactMemo(dict):
+    """An ExactColoring's memo, keyed by the tuple after the prefix.
+    Reading a missing tuple validates it by building the exactly large
+    set of prefix and tuple, evaluates, checks, checks the palette and
+    stores."""
+
+    __slots__ = ("fn", "prefix", "palette", "check")
+
+    def __init__(self, fn, prefix: tuple, palette: Optional[int], check):
+        self.fn, self.prefix, self.palette, self.check = fn, prefix, palette, check
+
+    def __missing__(self, t: tuple) -> int:
+        s = ExactlyLargeSet(FinSet(self.prefix + t))
+        v = self.fn(s)
+        self.check(s, v)
+        palette = self.palette
+        if v < 0 or (palette is not None and v >= palette):
+            raise ValueError(f"color {v} outside palette of {palette}")
+        self[t] = v
+        return v
+
+
+class _Memoized:
+    """The one read path of both coloring wrappers: every read, a call's
+    or a stream's, is ``memo[t]``, and the memo's ``__missing__`` runs
+    the validated miss.  ``_fn`` lives on the memo, so assigning it
+    reaches the misses."""
+
+    _fn = property(lambda self: self._memo.fn,
+                   lambda self, fn: setattr(self._memo, "fn", fn))
+
+    def colors(self, tuples):
+        """The colors of ``tuples``, lazily and in order: one memo read
+        each, so a stream stopped early has stored what the same calls
+        in the same order would."""
+        return map(self._memo.__getitem__, tuples)
+
+
+class FiniteColoring(_Memoized):
     """A deterministic coloring of strictly increasing fixed-size tuples."""
 
     def __init__(self, dimension: int, fn: Callable[[tuple], int],
@@ -34,52 +96,25 @@ class FiniteColoring:
         self.dimension = dimension
         self.palette = palette
         self.name = name
-        self._fn = fn
-        self._memo: dict[tuple, int] = {}
+        self._memo = _FiniteMemo(fn, dimension, palette)
 
     def __call__(self, tpl) -> int:
-        tpl = tuple(tpl)
-        hit = self._memo.get(tpl)
-        return self._miss(tpl) if hit is None else hit
-
-    def colors(self, tuples):
-        """The colors of ``tuples``, lazily and in order.  A read is one
-        memo read, and a miss runs the call's miss code, so a stream
-        stopped early has stored what the same calls in the same order
-        would."""
-        memo, miss = self._memo, self._miss
-        for t in tuples:
-            v = memo.get(t)
-            yield miss(t) if v is None else v
-
-    def _miss(self, t: tuple) -> int:
-        # A method, not inlined into the stream as ExactColoring's miss is:
-        # the level colorings of comega are mostly read one call at a time.
-        if len(t) != self.dimension:
-            raise ValueError(f"expected {self.dimension}-tuple, got {t}")
-        if any(a >= b for a, b in zip(t, t[1:])):
-            raise ValueError(f"tuple must increase: {t}")
-        v = self._fn(t)
-        if not 0 <= v < self.palette:
-            raise ValueError(f"color {v} outside palette of {self.palette}")
-        self._memo[t] = v
-        return v
+        return self._memo[tuple(tpl)]
 
     def __repr__(self) -> str:
         return f"FiniteColoring(dim={self.dimension}, name={self.name!r})"
 
 
-class ExactColoring:
+class ExactColoring(_Memoized):
     """A deterministic coloring of exactly large sets."""
 
-    _prefix: tuple = ()
+    _prefix = property(lambda self: self._memo.prefix)
 
     def __init__(self, fn: Callable[[ExactlyLargeSet], int],
                  palette: Optional[int] = 2, name: str = ""):
         self.palette = palette
         self.name = name
-        self._fn = fn
-        self._memo: dict[tuple, int] = {}
+        self._memo = _ExactMemo(fn, (), palette, self._check)
 
     def at_min(self, a: int) -> "ExactColoring":
         """The stage coloring at minimum a: an increasing a-tuple above a
@@ -91,47 +126,19 @@ class ExactColoring:
         FiniteColoring, and palette 2 when this coloring has none.
         """
         stage = copy.copy(self)
-        stage._prefix = (a,)
-        stage._memo = {}
-        stage.dimension = a
         stage.palette = self.palette or 2
+        stage._memo = _ExactMemo(self._fn, (a,), stage.palette, self._check)
+        stage.dimension = a
         stage.name = f"{self.name}@{a}"
         return stage
 
     def __call__(self, s) -> int:
         # Only validated keys are stored, so the memo is read before validation.
-        key = s if type(s) is tuple else (
-            s.elems if isinstance(s, (ExactlyLargeSet, FinSet)) else tuple(s))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        built = s if not self._prefix and isinstance(s, ExactlyLargeSet) else None
-        # Unpacking runs the one-tuple stream to its end, which costs less
-        # than dropping it suspended.
-        (v,) = self.colors((key,), built)
-        return v
+        return self._memo[s if type(s) is tuple else (
+            s.elems if isinstance(s, (ExactlyLargeSet, FinSet)) else tuple(s))]
 
-    def colors(self, tuples, built=None):
-        """The colors of ``tuples``, lazily and in order.  A read is one
-        memo read; a miss is validated (by building its exactly large
-        set), evaluated, checked and stored here, in the stream's own
-        frame, so a stream stopped early has stored what the same calls
-        in the same order would.  ``built``, for a stream of one tuple,
-        is that tuple's set when the caller already holds it."""
-        memo, prefix, palette, fn, check = (
-            self._memo, self._prefix, self.palette, self._fn, self._check)
-        for t in tuples:
-            v = memo.get(t)
-            if v is None:
-                s = ExactlyLargeSet(FinSet(prefix + t)) if built is None else built
-                v = fn(s)
-                check(s, v)
-                if v < 0 or (palette is not None and v >= palette):
-                    raise ValueError(f"color {v} outside palette of {palette}")
-                memo[t] = v
-            yield v
-
-    def _check(self, s: ExactlyLargeSet, v: int) -> None:
+    @staticmethod
+    def _check(s: ExactlyLargeSet, v: int) -> None:
         pass
 
     def __repr__(self) -> str:
@@ -144,7 +151,8 @@ class RegressiveColoring(ExactColoring):
     def __init__(self, fn, name: str = ""):
         super().__init__(fn, palette=None, name=name)
 
-    def _check(self, s: ExactlyLargeSet, v: int) -> None:
+    @staticmethod
+    def _check(s: ExactlyLargeSet, v: int) -> None:
         m = s.min()
         if m == 0:
             if v != 0:
@@ -199,7 +207,7 @@ def cn_from(prev: FiniteColoring, A: OracleSet,
     def fn(tpl):
         colors = prev.colors(combinations(tpl, prev.dimension))
         first = next(colors)
-        if any(v != first for v in colors):
+        if any(map(ne, colors, repeat(first))):
             return 0
         if c2 is not None and tpl[0] < _least_querying_index():
             return c2(tpl[:3])

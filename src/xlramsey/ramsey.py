@@ -11,8 +11,9 @@ every run is reproducible and every approximation visible.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import eq
 from typing import NamedTuple, Optional
 
 from .colorings import ExactColoring, FiniteColoring, _pigeonhole
@@ -448,7 +449,7 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
         if x in pool:
             continue
         tuples = (tuple(sorted(sub + (x,))) for sub in combinations(chosen, a - 1))
-        if all(v == color for v in c.colors(tuples)):
+        if all(map(eq, c.colors(tuples), repeat(color))):
             insort(chosen, x)
             pool.add(x)
     return FinSet(chosen)
@@ -475,7 +476,7 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
 
     if a == 1:
         classes: dict[int, list] = {}
-        for x, v in zip(elems, c.colors((x,) for x in elems)):
+        for x, v in zip(elems, c.colors(zip(elems))):
             classes.setdefault(v, []).append(x)
         ordered = [classes.get(v, []) for v in range(max(classes, default=0) + 1)]
         color = next((v for v, cls in enumerate(ordered) if len(cls) >= target),
@@ -500,9 +501,8 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
         a - 1, _Restricted(c, path), FinSet(path[:-1]), target, budget
     )
     chosen = _greedy_extend(c, inner.set, inner.color, FinSet(elems), target)
-    recheck = all(
-        v == inner.color for v in c.colors(combinations(chosen.elems, a))
-    ) if inner.color is not None else False
+    recheck = inner.color is not None and all(
+        map(eq, c.colors(combinations(chosen.elems, a)), repeat(inner.color)))
     stats = {
         "arity": a, "target": target, "achieved": len(chosen),
         "path_len": len(path), "path_stable": pr.stable,

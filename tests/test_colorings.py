@@ -1,5 +1,8 @@
+import gc
 import random
-from itertools import accumulate, combinations
+import weakref
+from itertools import accumulate, combinations, repeat
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +172,126 @@ def test_stage_stream_reads_as_calls_do(case):
     expected = _read_by_contract(c.at_min(a), reads)
     assert _read_by_stream(c.at_min(a), reads) == expected
     assert _read_by_calls(c.at_min(a), reads) == expected
+
+
+def _raises_when_sum_is_a_multiple_of_7(t):
+    if sum(t) % 7 == 0:
+        raise ArithmeticError(f"no color for {t}")
+    return t[0] % 2
+
+
+_FINITE_SOURCES = {
+    "plain": lambda dim: FiniteColoring(dim, lambda t: sum(t) % 2),
+    "fn raises": lambda dim: FiniteColoring(dim, _raises_when_sum_is_a_multiple_of_7),
+    "palette breach": lambda dim: FiniteColoring(dim, lambda t: sum(t) % 4 - 1),
+}
+
+
+@st.composite
+def finite_reads(draw):
+    """A dimension, a coloring kind and a read sequence: mostly
+    increasing tuples of that length, with malformed ones mixed in."""
+    dim = draw(st.integers(1, 4))
+    good = st.lists(st.integers(0, 9), min_size=dim, max_size=dim,
+                    unique=True).map(lambda xs: tuple(sorted(xs)))
+    bad = st.one_of(
+        good.map(lambda t: t[:-1]),                        # too short
+        good.map(lambda t: t + (t[-1] + 1,)),              # too long
+        good.map(lambda t: t[::-1]),                       # not increasing (dimension 2 up)
+        good.map(lambda t: (-t[0] - 1,) + t[1:]),          # a negative entry
+        good.map(lambda t: t[:-1] + (True,)),              # a bool entry
+    )
+    reads = draw(st.lists(st.one_of(good, good, good, bad), max_size=30))
+    return dim, draw(st.sampled_from(sorted(_FINITE_SOURCES))), reads
+
+
+def _read_finite_by_contract(c, reads):
+    # The read contract spelled out: memo first; a miss checks the
+    # length, then that the tuple increases, evaluates, checks the
+    # palette, then stores.
+    colors, memo = [], {}
+    for t in reads:
+        try:
+            v = memo.get(t)
+            if v is None:
+                if len(t) != c.dimension:
+                    raise ValueError(f"expected {c.dimension}-tuple, got {t}")
+                if any(a >= b for a, b in zip(t, t[1:])):
+                    raise ValueError(f"tuple must increase: {t}")
+                v = c._fn(t)
+                if not 0 <= v < c.palette:
+                    raise ValueError(f"color {v} outside palette of {c.palette}")
+                memo[t] = v
+        except Exception as exc:
+            return colors, list(memo.items()), (type(exc), str(exc))
+        colors.append(v)
+    return colors, list(memo.items()), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_reads())
+def test_finite_stream_reads_as_calls_do(case):
+    # The FiniteColoring twin of the stage property: stream, calls and
+    # the written-out contract store, return and raise the same.
+    dim, kind, reads = case
+    make = _FINITE_SOURCES[kind]
+    expected = _read_finite_by_contract(make(dim), reads)
+    assert _read_by_stream(make(dim), reads) == expected
+    assert _read_by_calls(make(dim), reads) == expected
+
+
+class _CountingIter:
+    def __init__(self, items):
+        self._it, self.pulled = iter(items), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._it)
+        self.pulled += 1
+        return item
+
+
+@pytest.mark.parametrize("kind", ["stage", "finite"])
+def test_stream_read_stops_at_first_other_color(kind):
+    # Colors 0, 0, 0, 1, 0, ...: an all-equal read must stop at the
+    # fourth tuple, pull nothing past it and have stored the four misses.
+    if kind == "stage":
+        c = ExactColoring(lambda s: int(s.elems[1] == 6)).at_min(1)
+    else:
+        c = FiniteColoring(1, lambda t: int(t[0] == 6))
+    reads = [(x,) for x in range(3, 12)]
+    tuples = _CountingIter(reads)
+    assert not all(map(eq, c.colors(tuples), repeat(0)))
+    assert tuples.pulled == 4
+    assert list(c._memo.items()) == [((3,), 0), ((4,), 0), ((5,), 0), ((6,), 1)]
+
+
+_TO_FREE = {
+    "finite": (lambda: FiniteColoring(2, lambda t: t[0] % 2), (4, 5)),
+    "exact": (lambda: ExactColoring(lambda s: s.min() % 2), (2, 3, 4)),
+    "exact stage": (lambda: ExactColoring(lambda s: s.min() % 2).at_min(3), (4, 5, 6)),
+    "regressive": (lambda: RegressiveColoring(lambda s: s.min() // 2), (2, 3, 4)),
+    "regressive stage": (lambda: RegressiveColoring(lambda s: s.min() // 2).at_min(3),
+                         (4, 5, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TO_FREE))
+def test_no_memo_keeps_its_coloring_alive(kind):
+    # A memo that held its coloring (say, a bound method of it) would
+    # make a reference cycle, freed only by a cycle collection.
+    make, t = _TO_FREE[kind]
+    gc.disable()
+    try:
+        c = make()
+        assert list(c.colors([t])) == [c(t)] and len(c._memo) == 1
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_regressive_coloring_guard():

@@ -91,20 +91,29 @@ def _hash_color(seed: int, elems: tuple) -> int:
 
 def parse_coloring(spec: str, oracle, seed: int = 0, programs=None) -> ExactColoring:
     s = spec.strip()
+
+    def number() -> int:
+        try:
+            return int(s.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError(f"malformed coloring: {spec!r}") from None
+
     if s == "parity-of-min":
         return ExactColoring(lambda t: t.min() % 2, name=s)
     if s == "parity-of-sum":
         return ExactColoring(lambda t: sum(t.elems) % 2, name=s)
     if s.startswith("sum-mod:"):
-        m = int(s.split(":", 1)[1])
+        m = number()
         if m < 2:
             raise ConfigError("sum-mod modulus must be at least 2")
         return ExactColoring(lambda t: sum(t.elems) % m, palette=m, name=s)
     if s.startswith("constant:"):
-        k = int(s.split(":", 1)[1])
+        k = number()
+        if k < 0:
+            raise ConfigError("constant color must be non-negative")
         return ExactColoring(lambda t: k, palette=k + 1, name=s)
     if s == "random" or s.startswith("random:"):
-        sd = int(s.split(":", 1)[1]) if ":" in s else seed
+        sd = number() if ":" in s else seed
         return ExactColoring(lambda t: _hash_color(sd, t.elems), name=f"random:{sd}")
     if s == "dh":
         return dh_coloring(oracle, programs)

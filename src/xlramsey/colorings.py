@@ -60,7 +60,7 @@ class _ExactMemo(dict):
         self.fn, self.prefix, self.palette, self.check = fn, prefix, palette, check
 
     def __missing__(self, t: tuple) -> int:
-        s = ExactlyLargeSet(FinSet(self.prefix + t))
+        s = ExactlyLargeSet(self.prefix + t)
         v = self.fn(s)
         self.check(s, v)
         palette = self.palette
@@ -135,7 +135,7 @@ class ExactColoring(_Memoized):
     def __call__(self, s) -> int:
         # Only validated keys are stored, so the memo is read before validation.
         return self._memo[s if type(s) is tuple else (
-            s.elems if isinstance(s, (ExactlyLargeSet, FinSet)) else tuple(s))]
+            s.elems if isinstance(s, FinSet) else tuple(s))]
 
     @staticmethod
     def _check(s: ExactlyLargeSet, v: int) -> None:

@@ -26,9 +26,13 @@ class FinSet:
     code treats them as values.
     """
 
-    __slots__ = ("elems", "_hash")
+    __slots__ = ("elems",)
 
     def __init__(self, elems: Iterable[int] = ()):
+        if isinstance(elems, FinSet):
+            # Already validated: reuse its tuple.
+            self.elems = elems.elems
+            return
         elems = tuple(elems)
         last = -1
         for v in elems:
@@ -42,7 +46,6 @@ class FinSet:
                 raise ValueError("elements must be strictly increasing")
             last = v
         self.elems = elems
-        self._hash = hash(elems)
 
     @classmethod
     def parse(cls, text: str) -> "FinSet":
@@ -85,10 +88,12 @@ class FinSet:
         return bool(self.elems)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinSet) and self.elems == other.elems
+        # Of one class only: an ExactlyLargeSet is not equal to the
+        # FinSet of its elements.
+        return type(other) is type(self) and self.elems == other.elems
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.elems)
 
     def __repr__(self) -> str:
         return f"FinSet({self.elems!r})"
@@ -97,45 +102,22 @@ class FinSet:
         return self.render()
 
 
-class ExactlyLargeSet:
+class ExactlyLargeSet(FinSet):
     """A FinSet whose cardinality equals its minimum plus one."""
 
-    __slots__ = ("fin",)
+    __slots__ = ()
 
-    def __init__(self, fin):
-        if not isinstance(fin, FinSet):
-            fin = FinSet(fin)
-        if not fin.elems or len(fin.elems) != fin.elems[0] + 1:
-            raise ValueError(f"not exactly large: {fin.render()}")
-        self.fin = fin
-
-    @property
-    def elems(self) -> tuple:
-        return self.fin.elems
-
-    def min(self) -> int:
-        return self.fin.elems[0]
-
-    def render(self) -> str:
-        return self.fin.render()
-
-    def __iter__(self):
-        return iter(self.fin.elems)
-
-    def __len__(self) -> int:
-        return len(self.fin.elems)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExactlyLargeSet) and self.fin == other.fin
+    def __init__(self, elems: Iterable[int]):
+        FinSet.__init__(self, elems)
+        elems = self.elems
+        if not elems or len(elems) != elems[0] + 1:
+            raise ValueError(f"not exactly large: {self.render()}")
 
     def __hash__(self) -> int:
-        return hash(("!", self.fin.elems))
+        return hash(("!", self.elems))
 
     def __repr__(self) -> str:
-        return f"ExactlyLargeSet({self.fin.elems!r})"
-
-    def __str__(self) -> str:
-        return self.render()
+        return f"ExactlyLargeSet({self.elems!r})"
 
 
 def enumerate_exactly_large(universe: FinSet) -> Iterator[ExactlyLargeSet]:
@@ -150,7 +132,7 @@ def enumerate_exactly_large(universe: FinSet) -> Iterator[ExactlyLargeSet]:
         if m > len(rest):
             continue
         for combo in combinations(rest, m):
-            yield ExactlyLargeSet(FinSet((m,) + combo))
+            yield ExactlyLargeSet((m,) + combo)
 
 
 def count_exactly_large(universe: FinSet) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from itertools import combinations, repeat
 from math import comb
-from operator import eq
+from operator import add, eq
 from typing import NamedTuple, Optional
 
 from .colorings import ExactColoring, FiniteColoring, _pigeonhole
@@ -437,7 +437,8 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
     tuple the same color, capped at the target size.  Each candidate x is
     checked against all tuples it completes, x inserted into each
     (a-1)-subset of the set in lexicographic order, so the result stays
-    exactly as verified as the input."""
+    exactly as verified as the input.  A candidate above every chosen
+    element ends each tuple, so its tuples are read without sorting."""
     if color is None or len(base) >= target:
         return base
     chosen = list(base.elems)
@@ -448,7 +449,11 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
             break
         if x in pool:
             continue
-        tuples = (tuple(sorted(sub + (x,))) for sub in combinations(chosen, a - 1))
+        subs = combinations(chosen, a - 1)
+        if chosen and x < chosen[-1]:
+            tuples = (tuple(sorted(sub + (x,))) for sub in subs)
+        else:
+            tuples = map(add, subs, repeat((x,)))
         if all(map(eq, c.colors(tuples), repeat(color))):
             insort(chosen, x)
             pool.add(x)
@@ -465,8 +470,12 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
     target is taken; failing that, the largest class (ties to the least
     color, color 0 on an empty universe) as a flagged best effort.
     Higher arities build the leftmost branch, restrict the coloring to
-    it, and recurse.  The witness is re-verified internally; shortfall
-    or a budget cut leaves it unverified.
+    it, and recurse.  Shortfall or a budget cut leaves the witness
+    unverified.  The set is not read again: every branch that
+    ``leftmost_path`` returns is end-homogeneous (Erdos & Rado 1956), so
+    an a-subset of the branch has the inner set's color, and
+    ``_greedy_extend`` reads every a-subset that holds an element before
+    it adds the element.
     """
     if a < 1:
         raise ValueError("arity must be at least 1")
@@ -501,8 +510,7 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
         a - 1, _Restricted(c, path), FinSet(path[:-1]), target, budget
     )
     chosen = _greedy_extend(c, inner.set, inner.color, FinSet(elems), target)
-    recheck = inner.color is not None and all(
-        map(eq, c.colors(combinations(chosen.elems, a)), repeat(inner.color)))
+    recheck = inner.color is not None and inner.budget_used.get("homogeneous_recheck", True)
     stats = {
         "arity": a, "target": target, "achieved": len(chosen),
         "path_len": len(path), "path_stable": pr.stable,
@@ -551,8 +559,6 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
             break
         w = f_a_extract(a, c.at_min(a), FinSet(current), len(current), budget)
         if not w.set or w.color is None:
-            break
-        if not w.budget_used.get("homogeneous_recheck", True):
             break
         stage_colors[a] = w.color
         stages.append({

@@ -437,6 +437,26 @@ def test_chain_start_that_is_not_a_number_names_the_flag(tmp_path, capsys, start
         f"config error: --start takes 'min' or a universe element, got {start!r}\n")
 
 
+BAD_COLORING_SPECS = {
+    "sum-mod:x": "malformed coloring: 'sum-mod:x'",
+    "constant:x": "malformed coloring: 'constant:x'",
+    "random:x": "malformed coloring: 'random:x'",
+    "constant:-1": "constant color must be non-negative",
+}
+
+
+@pytest.mark.parametrize("spec", BAD_COLORING_SPECS)
+def test_bad_coloring_spec_fails_at_parse_time_and_says_why(tmp_path, capsys, spec):
+    message = BAD_COLORING_SPECS[spec]
+    w = tmp_path / "w.json"
+    code = run_experiment(["search", "--mode", "chain", "--coloring", spec,
+                           "--universe", "interval:2..12", "--out-witness", str(w)])
+    assert code == CONFIG_ERROR and not w.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    with pytest.raises(ConfigError, match=message):
+        parse_coloring(spec, EMPTY)
+
+
 def test_verify_reads_the_witness_file_once(tmp_path, monkeypatch):
     w = tmp_path / "w.json"
     assert run_experiment(["search", "--coloring", "parity-of-min",

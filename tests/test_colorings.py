@@ -86,6 +86,22 @@ def test_exact_coloring_rejects_bad_input_on_every_call():
     assert len(c._memo) == 1
 
 
+def test_stage_miss_builds_its_set_with_one_validation(monkeypatch):
+    runs = []
+    init = FinSet.__init__
+
+    def counting_init(self, elems=()):
+        runs.append(type(self))
+        init(self, elems)
+
+    monkeypatch.setattr(FinSet, "__init__", counting_init)
+    seen = []
+    stage = ExactColoring(lambda s: seen.append(s) or 0).at_min(2)
+    assert stage((3, 4)) == 0 and runs == [ExactlyLargeSet]
+    assert [(type(s), s.elems) for s in seen] == [(ExactlyLargeSet, (2, 3, 4))]
+    assert stage((3, 4)) == 0 and len(runs) == 1
+
+
 def _raises_when_sum_is_a_multiple_of_5(s):
     if sum(s.elems) % 5 == 0:
         raise ArithmeticError(f"no color for {s.elems}")

@@ -67,6 +67,31 @@ def test_exactly_large_set_constructor():
         ExactlyLargeSet(FinSet([3, 4, 5]))
 
 
+def test_exactly_large_set_is_not_the_finset_of_its_elements():
+    e, f = ExactlyLargeSet((2, 5, 9)), FinSet((2, 5, 9))
+    assert e != f and f != e and not e == f and not f == e
+    assert hash(e) != hash(f) and len({e, f}) == 2
+    assert e == ExactlyLargeSet(f) and f == FinSet(e) and type(FinSet(e)) is FinSet
+    assert e.elems is ExactlyLargeSet(e).elems  # a FinSet argument is not copied
+    assert repr(e) == "ExactlyLargeSet((2, 5, 9))" and str(e) == "{2,5,9}"
+    assert e.min() == 2 and 5 in e and e.above(2) == FinSet((5, 9))
+
+
+@pytest.mark.parametrize("elems, message", [
+    ((True,), "not a natural number: True"),
+    ((0.0,), "not a natural number: 0.0"),
+    ((-1,), "negative element: -1"),
+    ((2, 4, 3), "elements must be strictly increasing"),
+    ((3, 4, 5), "not exactly large: {3,4,5}"),
+    ((), "not exactly large: {}"),
+], ids=["bool", "float", "negative", "not increasing", "not exactly large", "empty"])
+def test_exactly_large_set_rejects_tuples_and_finsets_alike(elems, message):
+    for build in (lambda: ExactlyLargeSet(elems), lambda: ExactlyLargeSet(FinSet(elems))):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def test_enumerate_examples():
     got = [s.elems for s in enumerate_exactly_large(FinSet([2, 3, 4, 5]))]
     assert got == [(2, 3, 4), (2, 3, 5), (2, 4, 5)]

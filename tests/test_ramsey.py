@@ -382,6 +382,42 @@ def test_leftmost_path_last_element_independence():
             assert len(colors) <= 1
 
 
+def end_homogeneous(c, branch) -> bool:
+    """Each (a-1)-subset t of the branch is finished with one color by
+    every branch element above t[-1], for a = c.dimension."""
+    return all(len(set(c.colors(t + (y,) for y in branch if y > t[-1]))) <= 1
+               for t in combinations(branch, c.dimension - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dim=st.integers(2, 4), palette=st.integers(2, 3),
+       kind=st.sampled_from(["finite", "exact", "view", "view of a view"]),
+       elems=st.sets(st.integers(0, 15), max_size=12), length=st.integers(1, 14),
+       max_candidates=st.sampled_from([1, 2, 3, 10 ** 6]))
+def test_every_branch_leftmost_path_returns_is_end_homogeneous(
+        seed, dim, palette, kind, elems, length, max_candidates):
+    # The extraction reads no tuple of its set again on this property:
+    # unstable branches (budget cuts) and shorter ones (the longest
+    # prefix fallback) included.
+    budget = SearchBudget(max_candidates=max_candidates)
+    depth = {"view": 1, "view of a view": 2}.get(kind, 0)
+    exact = kind == "exact"
+    universe = FinSet(sorted(x + dim + 1 if exact else x for x in elems))
+    c = extraction_coloring(seed, dim + depth, palette, exact, None)
+    for _ in range(depth):
+        path = leftmost_path(c, universe, len(universe), budget).path.elems if universe else ()
+        c, universe = _Restricted(c, path), FinSet(path[:-1])
+    assert c.dimension == dim
+    branch = leftmost_path(c, universe, length, budget).path.elems
+    assert end_homogeneous(c, branch)
+
+
+def test_end_homogeneity_check_sees_a_defect():
+    c = FiniteColoring(2, lambda t: t[1] % 2)
+    assert not end_homogeneous(c, (0, 1, 2))
+    assert end_homogeneous(c, (0, 1, 3))
+
+
 # ---------------------------------------------------------------------------
 # extraction
 

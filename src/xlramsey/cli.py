@@ -53,12 +53,20 @@ class VerificationFailure(Exception):
 # ---------------------------------------------------------------------------
 # spec parsing
 
+def _parse_set(flag: str, spec: str) -> FinSet:
+    """The set literal of a ``{...}`` or ``explicit:{...}`` spec given to
+    ``--flag``; a bad literal fails with a message naming both."""
+    s = spec.strip()
+    try:
+        return FinSet.parse(s.split(":", 1)[1] if s.startswith("explicit:") else s)
+    except ValueError as exc:
+        raise ConfigError(f"--{flag} {spec!r}: {exc}") from None
+
+
 def parse_universe(spec: str) -> FinSet:
     s = spec.strip()
-    if s.startswith("{"):
-        return FinSet.parse(s)
-    if s.startswith("explicit:"):
-        return FinSet.parse(s.split(":", 1)[1])
+    if s.startswith(("{", "explicit:")):
+        return _parse_set("universe", spec)
     try:
         kind, rng = s.split(":", 1)
         lo_s, hi_s = rng.split("..", 1)
@@ -76,11 +84,8 @@ def parse_universe(spec: str) -> FinSet:
 def parse_oracle(spec: Optional[str]):
     if spec is None or spec.strip() in ("", "empty"):
         return EMPTY
-    s = spec.strip()
-    if s.startswith("{"):
-        return ExplicitOracle(FinSet.parse(s).elems)
-    if s.startswith("explicit:"):
-        return ExplicitOracle(FinSet.parse(s.split(":", 1)[1]).elems)
+    if spec.strip().startswith(("{", "explicit:")):
+        return ExplicitOracle(_parse_set("oracle", spec).elems)
     raise ConfigError(f"unknown oracle: {spec!r}")
 
 

@@ -12,7 +12,8 @@ import copy
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, repeat
-from operator import ge, ne
+from math import comb, inf
+from operator import add, eq, ge, getitem, index, lt, ne
 from typing import Callable, NamedTuple, Optional
 
 from .decoders import _ApproxJumpOracle, _halts, _no_threshold_in
@@ -25,7 +26,55 @@ from .machines import (
 )
 
 
-class _FiniteMemo(dict):
+# The stored byte of a stage tuple not evaluated yet; a stage whose
+# palette reaches it keeps the tuple memo.
+_UNREAD = 255
+# A stage stores its colors by rank in a dict until it has read one in
+# _SPARSE of its tuples, then in a table of one byte per stage tuple: a
+# stored rank costs about 80 bytes in the dict (the int key and the
+# entry), so from there on the table is the smaller store.
+_SPARSE = 80
+# The largest stage table, in bytes: 16 MiB, about the process's own
+# footprint after import.  A larger stage keeps the tuple memo, whose
+# size follows the tuples read, not all the tuples of the stage.
+MAX_STAGE_TABLE = 1 << 24
+
+
+def _outside(t: tuple, universe) -> ValueError:
+    return ValueError(f"{t} is not a tuple of the stage universe {FinSet(sorted(universe))}")
+
+
+def _int_color(v) -> int:
+    """A color that is not a plain int: one with an integer value (a bool,
+    say) reads as that int, anything else is refused."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"color {v!r} is not an integer") from None
+
+
+class _TupleRows:
+    """Row reads of a memo keyed by tuple: each key is a head, the
+    candidate and the suffix, read through the memo's own
+    ``__getitem__``; the suffix's key is not used."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def suffix_keys(suffixes):
+        return suffixes
+
+    def row(self, heads, d):
+        get = self.__getitem__
+
+        def read(j, suffix=(), key=None, color=None):
+            colors = map(get, map(add, heads, repeat((j,) + suffix)))
+            return tuple(colors) if color is None else all(map(eq, colors, repeat(color)))
+
+        return read
+
+
+class _FiniteMemo(_TupleRows, dict):
     """A FiniteColoring's memo.  Reading a missing tuple runs the whole
     validated miss: the length and increasing checks, the evaluation,
     the palette check and the store.  Holds no reference to its
@@ -42,27 +91,37 @@ class _FiniteMemo(dict):
         if any(map(ge, t, t[1:])):
             raise ValueError(f"tuple must increase: {t}")
         v = self.fn(t)
+        if type(v) is not int:
+            v = _int_color(v)
         if not 0 <= v < self.palette:
             raise ValueError(f"color {v} outside palette of {self.palette}")
         self[t] = v
         return v
 
 
-class _ExactMemo(dict):
+class _ExactMemo(_TupleRows, dict):
     """An ExactColoring's memo, keyed by the tuple after the prefix.
     Reading a missing tuple validates it by building the exactly large
-    set of prefix and tuple, evaluates, checks, checks the palette and
-    stores."""
+    set of prefix and tuple, checks that a stage's universe holds it,
+    evaluates, runs the coloring's check if it has one, checks the
+    palette and stores."""
 
-    __slots__ = ("fn", "prefix", "palette", "check")
+    __slots__ = ("fn", "prefix", "palette", "check", "universe")
 
-    def __init__(self, fn, prefix: tuple, palette: Optional[int], check):
+    def __init__(self, fn, prefix: tuple, palette: Optional[int], check,
+                 universe: Optional[frozenset] = None):
         self.fn, self.prefix, self.palette, self.check = fn, prefix, palette, check
+        self.universe = universe
 
     def __missing__(self, t: tuple) -> int:
         s = ExactlyLargeSet(self.prefix + t)
+        if self.universe is not None and not self.universe.issuperset(t):
+            raise _outside(t, self.universe)
         v = self.fn(s)
-        self.check(s, v)
+        if self.check:
+            self.check(s, v)
+        if type(v) is not int:
+            v = _int_color(v)
         palette = self.palette
         if v < 0 or (palette is not None and v >= palette):
             raise ValueError(f"color {v} outside palette of {palette}")
@@ -70,11 +129,124 @@ class _ExactMemo(dict):
         return v
 
 
+class _Unread(dict):
+    """A stage's colors by rank, ``_UNREAD`` for a rank not stored."""
+
+    __slots__ = ()
+
+    def __missing__(self, r: int) -> int:
+        return _UNREAD
+
+
+class _StageTable:
+    """A stage coloring's colors by the colex rank of a tuple's positions
+    in the stage universe (Knuth, TAOCP 4A, 7.2.1.3): the tuple at
+    positions p1 < ... < pa has rank C(p1, 1) + ... + C(pa, a).  A rank
+    is a sum of per-slot terms, so a row of tuples that share a suffix
+    is read as the heads' ranks plus the suffix's rank.  The store is a
+    dict of the ranks read (``_Unread``) until they make one in
+    ``_SPARSE`` of the stage's tuples, then a table of one byte per
+    stage tuple.  An unread rank reads ``_UNREAD``; its miss builds the
+    tuple's exactly large set, evaluates, runs the check if there is
+    one, checks the palette and stores.  Holds no reference to its
+    coloring."""
+
+    __slots__ = ("fn", "prefix", "palette", "check", "universe", "slots", "size",
+                 "dense_at", "store")
+
+    def __init__(self, fn, a: int, universe: tuple, palette: int, check):
+        self.fn, self.prefix, self.palette, self.check = fn, (a,), palette, check
+        self.universe = universe
+        # slots[k][x]: the rank term of universe element x at slot k + 1
+        self.slots = [dict(zip(universe, map(comb, range(len(universe)), repeat(k))))
+                      for k in range(1, a + 1)]
+        self.size = comb(len(universe), a)
+        self.dense_at = self.size // _SPARSE
+        self.store = _Unread()
+
+    def _miss(self, t: tuple, r: int) -> int:
+        s = ExactlyLargeSet(self.prefix + t)
+        v = self.fn(s)
+        if self.check:
+            self.check(s, v)
+        if type(v) is not int:
+            v = _int_color(v)
+        if not 0 <= v < self.palette:
+            raise ValueError(f"color {v} outside palette of {self.palette}")
+        store = self.store
+        store[r] = v
+        if len(store) >= self.dense_at:
+            table = bytearray([_UNREAD]) * self.size
+            for rank, color in store.items():
+                table[rank] = color
+            self.store, self.dense_at = table, inf
+        return v
+
+    def __getitem__(self, t: tuple) -> int:
+        # Only a plain increasing a-tuple of universe elements has a
+        # rank; anything else fails as its exactly large set does, or
+        # names the universe.
+        slots = self.slots
+        try:
+            r = sum(map(getitem, slots, t))
+        except (KeyError, TypeError):
+            r = None
+        if (r is None or len(t) != len(slots) or not all(map(lt, t, t[1:]))
+                or not all([type(x) is int for x in t])):
+            ExactlyLargeSet(self.prefix + t)
+            raise _outside(t, self.universe)
+        v = self.store[r]
+        return self._miss(t, r) if v == _UNREAD else v
+
+    def suffix_keys(self, suffixes):
+        """The rank of each suffix at the last slots, or None for a suffix
+        with an element outside the universe."""
+        slots, keys = self.slots, []
+        for t in suffixes:
+            try:
+                keys.append(sum(map(getitem, slots[len(slots) - len(t):], t)))
+            except (KeyError, TypeError):
+                keys.append(None)
+        return keys
+
+    def row(self, heads, d):
+        slots = self.slots
+        try:
+            ranks = list(map(sum, map(map, repeat(getitem), repeat(slots), heads)))
+        except (KeyError, TypeError):  # a head outside the universe
+            return _TupleRows.row(self, heads, d)
+        col = slots[d - 1]
+
+        def resolved(colors, r, suffix):
+            # The row's colors with each miss evaluated as it is reached.
+            for k, v in enumerate(colors):
+                if v == _UNREAD:
+                    rk = ranks[k] + r
+                    v = self.store[rk]  # a repeated head may have been stored since
+                    if v == _UNREAD:
+                        v = self._miss(heads[k] + suffix, rk)
+                yield v
+
+        def read(j, suffix=(), key=0, color=None):
+            try:
+                r = col[j] + key
+            except (KeyError, TypeError):  # j or the suffix lies outside the universe
+                return _TupleRows.row(self, heads, d)(j, suffix, key, color)
+            colors = bytes(map(self.store.__getitem__, map(r.__add__, ranks)))
+            if color is None:
+                return colors if _UNREAD not in colors else bytes(
+                    resolved(colors, r, (j,) + suffix))
+            return colors.count(color) == len(colors) or all(
+                map(eq, resolved(colors, r, (j,) + suffix), repeat(color)))
+
+        return read
+
+
 class _Memoized:
-    """The one read path of both coloring wrappers: every read, a call's
-    or a stream's, is ``memo[t]``, and the memo's ``__missing__`` runs
-    the validated miss.  ``_fn`` lives on the memo, so assigning it
-    reaches the misses."""
+    """The read paths of both coloring wrappers.  A tuple read, a call's
+    or a stream's, is ``memo[t]``; a row read (``row``) takes its keys
+    from the memo too.  On a miss the memo runs the validated miss.
+    ``_fn`` lives on the memo, so assigning it reaches the misses."""
 
     _fn = property(lambda self: self._memo.fn,
                    lambda self, fn: setattr(self._memo, "fn", fn))
@@ -84,6 +256,23 @@ class _Memoized:
         each, so a stream stopped early has stored what the same calls
         in the same order would."""
         return map(self._memo.__getitem__, tuples)
+
+    def suffix_keys(self, suffixes):
+        """The memo's keys of suffixes that finish tuples (a view's tails),
+        to pass to a row read."""
+        return self._memo.suffix_keys(suffixes)
+
+    def row(self, heads, d=None):
+        """A reader of rows: ``read(j)`` is the colors of h + (j,) for the
+        heads h in order, as one hashable sequence, every miss evaluated
+        in order; ``read(j, suffix, key)`` finishes each tuple with
+        ``suffix`` (key: its entry of ``suffix_keys``), and j then sits at
+        slot d (default: the last); ``read(j, color=color)`` is whether
+        all of them have ``color``, read up to the first that has not.
+        Each read evaluates the same tuples in the same order as one call
+        per tuple.  The heads are increasing (d-1)-tuples (a sequence;
+        the table indexes it on a miss), and j lies above each of them."""
+        return self._memo.row(heads, d or self.dimension)
 
 
 class FiniteColoring(_Memoized):
@@ -109,6 +298,8 @@ class ExactColoring(_Memoized):
     """A deterministic coloring of exactly large sets."""
 
     _prefix = property(lambda self: self._memo.prefix)
+    # A check of each evaluated color, or None; RegressiveColoring has one.
+    _check = None
 
     def __init__(self, fn: Callable[[ExactlyLargeSet], int],
                  palette: Optional[int] = 2, name: str = ""):
@@ -116,18 +307,35 @@ class ExactColoring(_Memoized):
         self.name = name
         self._memo = _ExactMemo(fn, (), palette, self._check)
 
-    def at_min(self, a: int) -> "ExactColoring":
-        """The stage coloring at minimum a: an increasing a-tuple above a
-        gets the color of the exactly large set of a and the tuple.
+    def at_min(self, a: int, universe=None) -> "ExactColoring":
+        """The stage coloring at minimum a over ``universe`` (a FinSet or
+        increasing naturals, all above a): an increasing a-tuple of
+        universe elements gets the color of the exactly large set of a
+        and the tuple.  Without a universe, every increasing a-tuple
+        above a is in the stage.
 
-        The stage shares this coloring's function and checks but keeps
-        its own memo, keyed by the tuple, so each stage tuple is
-        evaluated and stored once.  It has a ``dimension`` like a
-        FiniteColoring, and palette 2 when this coloring has none.
+        The stage shares this coloring's function and check but keeps
+        its own colors, so each stage tuple is evaluated and stored
+        once: by rank (``_StageTable``), in a dict until the stage has
+        read one in ``_SPARSE`` of its tuples and from then on in a
+        table of one byte per stage tuple.  A stage without a universe,
+        with more than ``MAX_STAGE_TABLE`` tuples or with a palette
+        above 255 keeps a memo keyed by the tuple.  It has a
+        ``dimension`` like a FiniteColoring, and palette 2 when this
+        coloring has none.
         """
         stage = copy.copy(self)
         stage.palette = self.palette or 2
-        stage._memo = _ExactMemo(self._fn, (a,), stage.palette, self._check)
+        if universe is not None:
+            universe = (universe if isinstance(universe, FinSet) else FinSet(universe)).elems
+            if universe and universe[0] <= a:
+                raise ValueError(f"a stage universe at minimum {a} must lie above {a}")
+        if (universe is None or comb(len(universe), a) > MAX_STAGE_TABLE
+                or stage.palette > _UNREAD):
+            stage._memo = _ExactMemo(self._fn, (a,), stage.palette, self._check,
+                                     None if universe is None else frozenset(universe))
+        else:
+            stage._memo = _StageTable(self._fn, a, universe, stage.palette, self._check)
         stage.dimension = a
         stage.name = f"{self.name}@{a}"
         return stage
@@ -136,10 +344,6 @@ class ExactColoring(_Memoized):
         # Only validated keys are stored, so the memo is read before validation.
         return self._memo[s if type(s) is tuple else (
             s.elems if isinstance(s, FinSet) else tuple(s))]
-
-    @staticmethod
-    def _check(s: ExactlyLargeSet, v: int) -> None:
-        pass
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -56,7 +56,13 @@ class FinSet:
         body = t[1:-1].strip()
         if not body:
             return cls(())
-        return cls(int(p.strip()) for p in body.split(","))
+        elems = []
+        for part in body.split(","):
+            try:
+                elems.append(int(part))
+            except ValueError:
+                raise ValueError(f"not a natural number: {part.strip()!r}") from None
+        return cls(elems)
 
     def render(self) -> str:
         return "{" + ",".join(str(v) for v in self.elems) + "}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from itertools import combinations, repeat
 from math import comb
-from operator import add, eq
+from operator import eq
 from typing import NamedTuple, Optional
 
 from .colorings import ExactColoring, FiniteColoring, _pigeonhole
@@ -37,6 +37,11 @@ class SearchBudget(_BudgetFields):
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+
+# The version a witness's "schema" field names, and the kinds it may be.
+WITNESS_SCHEMA = "xlramsey.witness/1"
+WITNESS_KINDS = ("homogeneous", "min-homogeneous", "chain")
 
 
 class _WitnessFields(NamedTuple):
@@ -65,7 +70,7 @@ class Witness(_WitnessFields):
 
     def to_dict(self) -> dict:
         return {
-            "schema": "xlramsey.witness/1",
+            "schema": WITNESS_SCHEMA,
             "kind": self.kind,
             "set": list(self.set.elems),
             "color": self.color,
@@ -84,6 +89,10 @@ class Witness(_WitnessFields):
         if not (isinstance(d, dict) and isinstance(d.get("set"), list) and "kind" in d
                 and isinstance(per_min, (dict, type(None)))):
             raise ValueError("a witness needs a 'set' list, a 'kind' and a null or dict 'per_min'")
+        if d["kind"] not in WITNESS_KINDS:
+            raise ValueError(f"unknown witness kind: {d['kind']!r}")
+        if d.get("schema", WITNESS_SCHEMA) != WITNESS_SCHEMA:
+            raise ValueError(f"unknown witness schema: {d['schema']!r}")
         return cls(
             set=FinSet(d["set"]),
             kind=d["kind"],
@@ -276,17 +285,16 @@ def _split(node: tuple, pool, c: FiniteColoring) -> dict:
     """Group the increasing candidates j in pool (a sequence) by the
     colors of the tuples sub + (t, j), for t the node's last entry and
     sub in C(node[:-1], a-1) with a = c.dimension - 1.  Classes come in
-    order of their minima.  The colors are read as one stream, grouped
-    len(heads) at a time, one group per candidate."""
+    order of their minima.  The heads sub + (t,) are fixed per node, so
+    each candidate's colors are one row read (``c.row``)."""
     heads = ()
     if node:
         t = node[-1]
         heads = [sub + (t,) for sub in combinations(node[:-1], c.dimension - 2)]
     if not heads:
         return {(): list(pool)} if pool else {}
-    colors = c.colors(h + (j,) for j in pool for h in heads)
-    classes: dict[tuple, list] = {}
-    for j, key in zip(pool, zip(*[colors] * len(heads))):
+    classes: dict = {}
+    for j, key in zip(pool, map(c.row(heads), pool)):
         members = classes.get(key)
         if members is None:
             classes[key] = [j]
@@ -408,11 +416,14 @@ class _Restricted:
     A view over a view is flat: it keeps the memoizing coloring at the
     bottom (``c``) and, per element y of its own branch, the whole suffix
     that finishes a tuple whose next branch element is y, read off the
-    stack of branches.  So a tuple restricted k levels deep costs one
-    lookup and one memo read.  Keeps no memo: the bottom coloring has
-    one, and it validates the finished tuple on a miss."""
+    stack of branches, with the bottom memo's key of each suffix
+    (``tail_keys``, indexed like ``tails``: the suffix's rank in a stage
+    table).  So a row restricted k levels deep costs one lookup and one
+    addition per candidate, and one memo read per tuple.  Keeps no memo:
+    the bottom coloring has one, and it validates the finished tuple on a
+    miss."""
 
-    __slots__ = ("c", "path", "tails", "dimension")
+    __slots__ = ("c", "path", "tails", "tail_keys", "dimension")
 
     def __init__(self, c, path: tuple):
         self.path, self.dimension = path, c.dimension - 1
@@ -424,11 +435,52 @@ class _Restricted:
                           if (i := bisect_right(c.path, y)) < len(below)]
         else:
             self.c, self.tails = c, [(y,) for y in path]
+        self.tail_keys = self.c.suffix_keys(self.tails)
 
     def colors(self, tuples):
         """The colors of the finished tuples, lazily and in order."""
         path, tails = self.path, self.tails
         return self.c.colors(t + tails[bisect_right(path, t[-1])] for t in tuples)
+
+    def row(self, heads):
+        """A reader of rows of the finished tuples: the bottom coloring's,
+        given each candidate's suffix and the suffix's key."""
+        read = self.c.row(heads, self.dimension)
+        path, tails, keys = self.path, self.tails, self.tail_keys
+
+        def finished(j, color=None):
+            i = bisect_right(path, j)
+            return read(j, tails[i], keys[i], color)
+
+        return finished
+
+
+class _Subsets:
+    """The k-subsets of an increasing list in lexicographic order, as a
+    sequence that holds none of them: iterating runs ``combinations``,
+    and item i is found by counting subsets.  The greedy step's heads:
+    on a dh chain over interval:2..34 one row holds 817,190 of them,
+    and as a list of tuples they take the peak RSS from 70 to 147 MB."""
+
+    __slots__ = ("elems", "k")
+
+    def __init__(self, elems, k: int):
+        self.elems, self.k = tuple(elems), k
+
+    def __iter__(self):
+        return combinations(self.elems, self.k)
+
+    def __getitem__(self, i: int) -> tuple:
+        out, k, n = [], self.k, len(self.elems)
+        for p, x in enumerate(self.elems):
+            if len(out) == k:
+                break
+            below = comb(n - p - 1, k - len(out) - 1)
+            if i < below:
+                out.append(x)
+            else:
+                i -= below
+        return tuple(out)
 
 
 def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
@@ -438,25 +490,30 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
     checked against all tuples it completes, x inserted into each
     (a-1)-subset of the set in lexicographic order, so the result stays
     exactly as verified as the input.  A candidate above every chosen
-    element ends each tuple, so its tuples are read without sorting."""
+    element ends each tuple: its tuples are one row read, whose heads
+    change only when an element is added."""
     if color is None or len(base) >= target:
         return base
     chosen = list(base.elems)
     pool = set(chosen)
     a = c.dimension
+    agrees = None
     for x in universe.elems:
         if len(chosen) >= target:
             break
         if x in pool:
             continue
-        subs = combinations(chosen, a - 1)
         if chosen and x < chosen[-1]:
-            tuples = (tuple(sorted(sub + (x,))) for sub in subs)
+            tuples = (tuple(sorted(sub + (x,))) for sub in combinations(chosen, a - 1))
+            ok = all(map(eq, c.colors(tuples), repeat(color)))
         else:
-            tuples = map(add, subs, repeat((x,)))
-        if all(map(eq, c.colors(tuples), repeat(color))):
+            if agrees is None:
+                agrees = c.row(_Subsets(chosen, a - 1))
+            ok = agrees(x, color=color)
+        if ok:
             insort(chosen, x)
             pool.add(x)
+            agrees = None
     return FinSet(chosen)
 
 
@@ -533,8 +590,9 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
     """Build a chain by repeatedly extracting a homogeneous set for the
     stage coloring induced by the current minimum.
 
-    Stage i colors tuples above a_i by the exact coloring applied to
-    the tuple with a_i prepended; extraction supplies the stage's
+    Stage i colors the a_i-tuples of the current universe (the
+    previous stage's set without its minimum) by the exact coloring
+    applied to the tuple with a_i prepended; extraction supplies the stage's
     homogeneous set, whose minimum becomes the next chain element.  The
     chain stops when a stage search fails inside its budget.  A final
     pigeonhole pass thins the chain to one induced per-minimum color
@@ -557,7 +615,8 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
         a = chain[-1]
         if len(current) < a:
             break
-        w = f_a_extract(a, c.at_min(a), FinSet(current), len(current), budget)
+        stage_universe = FinSet(current)
+        w = f_a_extract(a, c.at_min(a, stage_universe), stage_universe, len(current), budget)
         if not w.set or w.color is None:
             break
         stage_colors[a] = w.color

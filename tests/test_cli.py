@@ -708,3 +708,39 @@ def test_decode_rejects_a_query_that_is_not_two_naturals(tmp_path, capsys, query
     for flags in ([f"--query={query}"], ["--config", str(cfg)]):
         assert run_experiment(["decode", "--witness", str(w)] + flags) == CONFIG_ERROR
         assert capsys.readouterr() == ("", f"config error: bad query (want i,j): {query!r}\n")
+
+
+BAD_SET_SPECS = {
+    ("enumerate", "universe", "{a,b}"): "--universe '{a,b}': not a natural number: 'a'",
+    ("enumerate", "universe", "explicit:{x}"):
+        "--universe 'explicit:{x}': not a natural number: 'x'",
+    ("enumerate", "universe", "{3,2}"): "--universe '{3,2}': elements must be strictly increasing",
+    ("search", "oracle", "{a}"): "--oracle '{a}': not a natural number: 'a'",
+}
+
+
+@pytest.mark.parametrize("verb, flag, spec", BAD_SET_SPECS)
+def test_bad_set_literal_names_the_flag_and_the_spec(capsys, verb, flag, spec):
+    argv = [verb, f"--{flag}", spec]
+    if verb == "search":
+        argv += ["--mode", "chain", "--coloring", "dh", "--universe", "evens:2..12"]
+    assert run_experiment(argv) == CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {BAD_SET_SPECS[verb, flag, spec]}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("kind", "bogus", "unknown witness kind: 'bogus'"),
+    ("schema", "xlramsey.witness/99", "unknown witness schema: 'xlramsey.witness/99'"),
+])
+def test_witness_of_an_unknown_kind_or_schema_is_a_config_error(tmp_path, capsys, field,
+                                                                  value, message):
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..14", "--out-witness", str(w)]) == OK
+    assert run_experiment(["verify", "--witness", str(w)]) == OK
+    payload = json.loads(w.read_text())
+    payload[field] = value
+    w.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"

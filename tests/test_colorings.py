@@ -1,14 +1,16 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from itertools import accumulate, combinations, repeat
+from math import comb, inf
 from operator import eq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UnkeyedOracle, random_regressive_coloring
+from conftest import UnkeyedOracle, crc_bit, random_regressive_coloring
 
 from xlramsey import colorings, machines
 from xlramsey.colorings import (
@@ -36,7 +38,8 @@ from xlramsey.machines import (
     run_bounded,
     staged_jump,
 )
-from xlramsey.ramsey import exact_homog_search, verify_min_homogeneous
+from xlramsey.colorings import _ExactMemo, _StageTable
+from xlramsey.ramsey import _Restricted, _Subsets, exact_homog_search, verify_min_homogeneous
 
 DIVERGERS = (0, 2, 4, 7, 9)  # indices that never halt on any input
 
@@ -166,7 +169,8 @@ def _read_by_contract(stage, reads):
             if v is None:
                 s = ExactlyLargeSet(FinSet(stage._prefix + t))
                 v = stage._fn(s)
-                stage._check(s, v)
+                if stage._check is not None:
+                    stage._check(s, v)
                 if not 0 <= v < stage.palette:
                     raise ValueError(f"color {v} outside palette of {stage.palette}")
                 memo[t] = v
@@ -282,6 +286,233 @@ def test_stream_read_stops_at_first_other_color(kind):
     assert not all(map(eq, c.colors(tuples), repeat(0)))
     assert tuples.pulled == 4
     assert list(c._memo.items()) == [((3,), 0), ((4,), 0), ((5,), 0), ((6,), 1)]
+
+
+# ---------------------------------------------------------------------------
+# stage tables
+
+def _logged_source(kind, palette, seed, log):
+    """An exact coloring that appends every set it evaluates to log."""
+    def color(s):
+        log.append(s.elems)
+        v = crc_bit(seed, s.elems, palette)
+        if kind == "fn raises" and sum(s.elems) % 7 == 0:
+            raise ArithmeticError(f"no color for {s.elems}")
+        if kind == "palette breach" and sum(s.elems) % 9 == 0:
+            return palette
+        if kind == "float color" and sum(s.elems) % 5 == 0:
+            return float(v)
+        if kind == "bool color":
+            return v == 1
+        return v
+
+    if kind == "regressive breach":
+        return RegressiveColoring(lambda s: log.append(s.elems) or sum(s.elems) % (s.min() + 1))
+    return ExactColoring(color, palette=palette)
+
+
+def _stage(source, a, universe, store):
+    """The stage at minimum a over universe, its colors kept in ``store``:
+    "tuple" (a memo keyed by tuple), "dict" (by rank, never a table),
+    "table" (a table from the first miss on) or "switch" (a dict for two
+    misses, then a table)."""
+    stage = source.at_min(a, universe)
+    assert isinstance(stage._memo, _StageTable)
+    if store == "tuple":
+        stage._memo = _ExactMemo(stage._fn, (a,), stage.palette, source._check,
+                                 frozenset(universe))
+    else:
+        stage._memo.dense_at = {"dict": inf, "table": 0, "switch": 2}[store]
+    return stage
+
+
+@st.composite
+def stage_table_ops(draw):
+    """A stage (arity 1 to 5, palette 2 or 3, a random universe above the
+    minimum) and reads of it: streams and calls of mostly good tuples,
+    with malformed tuples and tuples outside the universe mixed in; row
+    reads, full or stopped at the first other color, of the stage, a
+    view of it or a view of a view."""
+    a, palette = draw(st.integers(1, 5)), draw(st.integers(2, 3))
+    elems = sorted(draw(st.sets(st.integers(a + 1, a + 12), min_size=a, max_size=9)))
+    wider = list(range(a + 1, a + 15))  # the universe and elements outside it
+    good = st.lists(st.sampled_from(elems), min_size=a, max_size=a,
+                    unique=True).map(lambda xs: tuple(sorted(xs)))
+    tuples = st.one_of(
+        good, good, good,
+        st.lists(st.integers(a + 1, a + 14), min_size=a, max_size=a,       # maybe outside
+                 unique=True).map(lambda xs: tuple(sorted(xs))),
+        good.map(lambda t: t[::-1]),                                       # not increasing
+        good.map(lambda t: t[:-1]),                                        # too short
+        good.map(lambda t: t + (t[-1] + 1,)),                              # too long
+        good.map(lambda t: t[:-1] + (True,)),                              # a bool entry
+        good.map(lambda t: (-t[0],) + t[1:]),                              # a negative entry
+    )
+    # No float entries: 7.0 hashes as 7 does, so the tuple memo serves
+    # (5, 7.0) once (5, 7) is stored; the table never does (the test
+    # after this one).
+
+    @st.composite
+    def row(draw):
+        # Mostly universe elements; elements outside it in the paths, the
+        # candidate or the heads fail where one call per tuple would.
+        paths, pool = [], draw(st.sampled_from([elems, elems, wider]))
+        for _ in range(draw(st.integers(0, min(2, a - 1)))):
+            if len(pool) < 2:
+                break
+            path = sorted(draw(st.sets(st.sampled_from(pool), min_size=2)))
+            paths.append(tuple(path))
+            pool = path[:-1]  # every element here has a tail
+        j = draw(st.sampled_from(pool) if paths else st.sampled_from(wider))
+        below = [x for x in draw(st.sampled_from([elems, elems, wider])) if x < j]
+        k = a - len(paths) - 1
+        head = (st.lists(st.sampled_from(below), min_size=k, max_size=k, unique=True)
+                .map(lambda xs: tuple(sorted(xs))) if len(below) >= k > 0 else st.just(()))
+        heads = draw(st.lists(head, max_size=6)) if len(below) >= k else []
+        if below and draw(st.booleans()):  # the greedy step's heads
+            heads = _Subsets(sorted(draw(st.sets(st.sampled_from(below)))), k)
+        return paths, heads, j, draw(st.none() | st.integers(0, palette - 1))
+
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("stream"), st.lists(tuples, max_size=6)),
+        st.tuples(st.just("call"), tuples),
+        st.tuples(st.just("row"), row()),
+    ), max_size=10))
+    kind = draw(st.sampled_from(["plain", "fn raises", "palette breach", "regressive breach",
+                                 "float color", "bool color"]))
+    return a, palette, FinSet(elems), kind, draw(st.integers(0, 99)), ops
+
+
+def _apply(stage, op):
+    verb, arg = op
+    if verb == "call":
+        return stage(arg)
+    if verb == "stream":
+        colors = []
+        try:
+            for v in stage.colors(iter(arg)):
+                colors.append(v)
+        except Exception as exc:
+            colors.append((type(exc), str(exc)))
+        return colors
+    paths, heads, j, color = arg
+    c = stage
+    for path in paths:
+        c = _Restricted(c, path)
+    read = c.row(heads)
+    return tuple(read(j)) if color is None else read(j, color=color)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage_table_ops())
+def test_stage_table_reads_as_the_tuple_memo_does(case):
+    # The same reads of a stage stored by rank, in a dict, a table or a
+    # dict that turns into a table, and of a stage with a tuple memo give
+    # the same colors and exceptions and evaluate the same sets in the
+    # same order: streams, calls, rows through views of views, and row
+    # reads stopped at the first other color.
+    a, palette, universe, kind, seed, ops = case
+    runs = []
+    for store in ("tuple", "dict", "table", "switch"):
+        log = []
+        stage = _stage(_logged_source(kind, palette, seed, log), a, universe, store)
+        results = []
+        for op in ops:
+            try:
+                results.append(_apply(stage, op))
+            except Exception as exc:
+                results.append((type(exc), str(exc)))
+        runs.append((results, log))
+    assert runs[1:] == runs[:1] * 3
+
+
+def test_a_stage_turns_its_dict_into_a_table_at_one_in_sparse():
+    # C(12, 3) = 220 stage tuples: the dict holds at most 220 // 80 - 1
+    # ranks, and the table keeps every color stored before.
+    stage = ExactColoring(lambda s: sum(s.elems) % 2).at_min(3, FinSet(range(4, 16)))
+    table = stage._memo
+    assert table.size == 220 and table.dense_at == 220 // colorings._SPARSE == 2
+    assert stage((4, 5, 6)) == 0 and isinstance(table.store, dict)
+    assert stage((4, 5, 7)) == 1 and isinstance(table.store, bytearray)
+    assert len(table.store) == 220 and table.store.count(colorings._UNREAD) == 218
+    assert stage((4, 5, 6)) == 0 and stage((4, 5, 7)) == 1
+
+
+def test_colors_are_integers():
+    # A bool reads as its int and any other non-integer color is refused,
+    # by every memo alike.
+    makers = [(lambda fn: FiniteColoring(2, fn), (3, 4)), (ExactColoring, (1, 5))] + [
+        (lambda fn, store=store: _stage(ExactColoring(fn), 2, FinSet(range(3, 9)), store),
+         (3, 4)) for store in ("tuple", "dict", "table")]
+    for v, want in ((True, 1), (False, 0), (1.0, None), ("1", None)):
+        for make, t in makers:
+            c = make(lambda _: v)
+            if want is None:
+                with pytest.raises(ValueError, match=rf"color {v!r} is not an integer"):
+                    c(t)
+            else:
+                got = c(t)
+                assert got == want and type(got) is int and c(t) == want
+
+
+def test_stage_table_never_serves_a_bad_tuple():
+    # The color of (5, 6, 7) is stored first; a tuple that is not a plain
+    # increasing 3-tuple still fails as its exactly large set does.
+    universe = FinSet(range(4, 12))
+    for store in ("dict", "table"):
+        stage = _stage(ExactColoring(lambda s: sum(s.elems) % 2), 3, universe, store)
+        assert stage((5, 6, 7)) == 1 and list(stage.colors([(5, 6, 7)])) == [1]
+        for bad in [(7, 6, 5), (5, 7, 6), (5, 6), (5, 6, 7, 8), (5, 6, True), (5, 6, 7.0),
+                    (5.0, 6, 7), (-5, 6, 7), (3, 6, 7), (5, 5, 7)]:
+            with pytest.raises(ValueError) as want:
+                ExactlyLargeSet((3,) + bad)
+            for read in (stage, lambda t: next(stage.colors([t]))):
+                with pytest.raises(ValueError) as got:
+                    read(bad)
+                assert str(got.value) == str(want.value)
+        for outside in [(5, 6, 12), (12, 13, 14), (4, 5, 40)]:
+            with pytest.raises(ValueError, match=r"stage universe \{4,5,6,7,8,9,10,11\}"):
+                stage(outside)
+
+
+def test_oversize_stage_and_wide_palette_keep_the_tuple_memo():
+    # C(40, 30) = 847,660,528 tuples: a table would take 848 MB.
+    assert comb(40, 30) > colorings.MAX_STAGE_TABLE
+    tracemalloc.start()
+    try:
+        stage = ExactColoring(lambda s: s.min() % 2).at_min(30, FinSet(range(31, 71)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000 and type(stage._memo) is _ExactMemo
+    assert stage(tuple(range(31, 61))) == 0
+    with pytest.raises(ValueError, match="stage universe"):
+        stage(tuple(range(31, 60)) + (80,))
+    wide = ExactColoring(lambda s: 299, palette=300).at_min(3, FinSet(range(4, 12)))
+    assert type(wide._memo) is _ExactMemo and wide((4, 5, 6)) == 299
+    # colors 0 to 254 fit below the unread byte
+    edge = _stage(ExactColoring(lambda s: 254, palette=255), 3, FinSet(range(4, 12)), "table")
+    assert edge((4, 5, 6)) == 254 and edge((4, 5, 6)) == 254
+    assert isinstance(edge._memo.store, bytearray)
+
+
+def test_stage_universe_lies_above_the_minimum():
+    with pytest.raises(ValueError, match="must lie above 3"):
+        ExactColoring(lambda s: 0).at_min(3, FinSet(range(3, 9)))
+
+
+def test_only_a_coloring_with_a_check_runs_it_on_a_miss():
+    assert ExactColoring._check is None
+    checked = []
+
+    class Checked(ExactColoring):
+        _check = staticmethod(lambda s, v: checked.append((s.elems, v)))
+
+    for universe in (None, FinSet(range(3, 8))):
+        checked.clear()
+        stage = Checked(lambda s: 1).at_min(2, universe)
+        assert stage((3, 4)) == 1 and stage((3, 4)) == 1
+        assert checked == [((2, 3, 4), 1)]
 
 
 _TO_FREE = {

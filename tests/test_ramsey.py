@@ -3,9 +3,11 @@ import inspect
 import json
 import random
 import sys
+import tracemalloc
 import weakref
 from bisect import bisect_right
 from itertools import combinations, count
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,12 +21,13 @@ from conftest import (
 )
 import reference_extract
 
-from xlramsey.colorings import ExactColoring, FiniteColoring, _pigeonhole
+from xlramsey.colorings import ExactColoring, FiniteColoring, _ExactMemo, _pigeonhole
 from xlramsey.largesets import FinSet
 from xlramsey.ramsey import (
     DEFAULT_BUDGET,
     PathResult,
     _Restricted,
+    _Subsets,
     SearchBudget,
     Witness,
     brute_homogeneous,
@@ -515,19 +518,22 @@ class Poisoned(Exception):
     pass
 
 
-def extraction_coloring(seed, dim, palette, exact, poison):
-    """A fresh random coloring whose evaluation number ``poison`` raises:
-    a FiniteColoring, or the stage coloring at minimum dim of an exact
-    one (its universe must lie above dim)."""
+def extraction_coloring(seed, dim, palette, exact, poison, universe=None, log=None):
+    """A fresh random coloring whose evaluation number ``poison`` raises,
+    appending every tuple it evaluates to ``log`` if one is given: a
+    FiniteColoring, or the stage coloring at minimum dim of an exact one
+    over ``universe`` (which must lie above dim)."""
     evaluations = count()
 
     def color(elems):
+        if log is not None:
+            log.append(elems)
         if next(evaluations) == poison:
             raise Poisoned(elems)
         return crc_bit(seed, elems, palette)
 
     if exact:
-        return ExactColoring(lambda s: color(s.elems), palette=palette).at_min(dim)
+        return ExactColoring(lambda s: color(s.elems), palette=palette).at_min(dim, universe)
     return FiniteColoring(dim, color, palette=palette)
 
 
@@ -546,27 +552,45 @@ def run_extraction(extract, c, universe, target, budget):
                         max_candidates=st.sampled_from([1, 2, 3, 1_000_000])))
 def test_extraction_matches_per_call_reference(seed, dim, palette, exact, elems, target,
                                                poison, budget):
-    # The flat views and batched reads return the same witness, evaluate
-    # the same tuples in the same order and raise the same exception.
+    # The row reads (rank rows of the stage table for an exact stage)
+    # return the same witness, evaluate the same tuples in the same
+    # order and raise the same exception as one call per tuple.
     universe = FinSet(sorted(x + dim + 1 if exact else x for x in elems))
-    got_c = extraction_coloring(seed, dim, palette, exact, poison)
-    want_c = extraction_coloring(seed, dim, palette, exact, poison)
+    got_log, want_log = [], []
+    got_c = extraction_coloring(seed, dim, palette, exact, poison, universe, got_log)
+    want_c = extraction_coloring(seed, dim, palette, exact, poison, universe, want_log)
     got = run_extraction(f_a_extract, got_c, universe, target, budget)
     want = run_extraction(reference_extract.f_a_extract, want_c, universe, target, budget)
     assert got == want
-    assert list(got_c._memo) == list(want_c._memo)
+    assert got_log == want_log
 
 
 def test_extraction_raises_where_the_reference_raises():
-    # evaluation 100 of the 171 a full run makes raises
-    runs = []
-    for extract in (f_a_extract, reference_extract.f_a_extract):
-        c = extraction_coloring(1, 4, 2, False, 100)
-        runs.append((run_extraction(extract, c, FinSet(range(14)), 14, DEFAULT_BUDGET),
-                     list(c._memo)))
-    (got, got_memo), (want, want_memo) = runs
-    assert got[1] is not None and got == want
-    assert len(got_memo) == 100 and got_memo == want_memo
+    # evaluation 100 of the 171 (finite) or 165 (stage) a full run makes
+    # raises
+    for exact in (False, True):
+        universe = FinSet(range(5, 19) if exact else range(14))
+        runs = []
+        for extract in (f_a_extract, reference_extract.f_a_extract):
+            log = []
+            c = extraction_coloring(1, 4, 2, exact, 100, universe, log)
+            runs.append((run_extraction(extract, c, universe, 14, DEFAULT_BUDGET), log))
+        (got, got_log), (want, want_log) = runs
+        assert got[1] is not None and got == want
+        assert len(got_log) == 101 and got_log == want_log
+
+
+def test_extraction_beyond_the_stage_universe_names_it():
+    # Heads, candidates and view tails outside the stage's universe fail
+    # as their first tuple read does, whatever the stage's store.
+    for store in ("tuple", "dict", "table"):
+        stage = ExactColoring(lambda s: s.min() % 2).at_min(3, FinSet(range(4, 12)))
+        if store == "tuple":
+            stage._memo = _ExactMemo(stage._fn, (3,), 2, None, frozenset(range(4, 12)))
+        else:
+            stage._memo.dense_at = {"dict": inf, "table": 0}[store]
+        with pytest.raises(ValueError, match=r"\(4, 5, 12\) is not a tuple of the stage universe"):
+            f_a_extract(3, stage, FinSet(range(4, 14)), 9)
 
 
 def test_memo_hits_make_no_calls(monkeypatch):
@@ -590,6 +614,14 @@ def test_memo_hits_make_no_calls(monkeypatch):
     w = f_a_extract(5, stage, FinSet(range(6, 20)), 14)
     assert w.verified and evaluations == len(stage._memo) == 2002
     assert calls == 0
+
+
+def test_subsets_read_as_combinations():
+    elems = (2, 3, 5, 8, 13, 21, 34)
+    for k in range(len(elems) + 1):
+        subsets = _Subsets(list(elems), k)
+        want = list(combinations(elems, k))
+        assert list(subsets) == want == [subsets[i] for i in range(len(want))]
 
 
 def test_view_over_a_view_is_flat():
@@ -650,8 +682,8 @@ def test_finished_stages_are_freed_without_gc(monkeypatch):
     stages = []
     at_min = ExactColoring.at_min
 
-    def recording_at_min(self, a):
-        stage = at_min(self, a)
+    def recording_at_min(self, *args):
+        stage = at_min(self, *args)
         stages.append(weakref.ref(stage))
         return stage
 
@@ -664,6 +696,22 @@ def test_finished_stages_are_freed_without_gc(monkeypatch):
     finally:
         gc.enable()
     assert len(stages) == 7 and alive == []
+
+
+def test_parity_of_min_chain_memory_bound():
+    # Each stage keeps one byte per stage tuple, not a dict entry per
+    # tuple read: the traced peak is about 0.9 MB, where a tuple memo
+    # peaks at 3.2 MB (the stage at minimum 7 holds C(17, 7) = 19,448
+    # 7-tuples).
+    c = ExactColoring(lambda s: s.min() % 2, name="parity-of-min")
+    tracemalloc.start()
+    try:
+        w = iterate_rtomega(c, FinSet(range(2, 25)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.verified and w.set == FinSet([2, 4, 6, 8, 10, 12, 13])
+    assert peak < 2_000_000
 
 
 def test_chain_start_override():

@@ -12,7 +12,7 @@ import copy
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, repeat
-from math import comb, inf
+from math import comb
 from operator import add, eq, ge, getitem, index, lt, ne
 from typing import Callable, NamedTuple, Optional
 
@@ -29,14 +29,10 @@ from .machines import (
 # The stored byte of a stage tuple not evaluated yet; a stage whose
 # palette reaches it keeps the tuple memo.
 _UNREAD = 255
-# A stage stores its colors by rank in a dict until it has read one in
-# _SPARSE of its tuples, then in a table of one byte per stage tuple: a
-# stored rank costs about 80 bytes in the dict (the int key and the
-# entry), so from there on the table is the smaller store.
-_SPARSE = 80
 # The largest stage table, in bytes: 16 MiB, about the process's own
-# footprint after import.  A larger stage keeps the tuple memo, whose
-# size follows the tuples read, not all the tuples of the stage.
+# footprint after import.  A stage table is allocated whole when the
+# stage is built; a larger stage keeps the tuple memo, whose size
+# follows the tuples read, not all the tuples of the stage.
 MAX_STAGE_TABLE = 1 << 24
 
 
@@ -44,13 +40,18 @@ def _outside(t: tuple, universe) -> ValueError:
     return ValueError(f"{t} is not a tuple of the stage universe {FinSet(sorted(universe))}")
 
 
-def _int_color(v) -> int:
-    """A color that is not a plain int: one with an integer value (a bool,
-    say) reads as that int, anything else is refused."""
-    try:
-        return index(v)
-    except TypeError:
-        raise ValueError(f"color {v!r} is not an integer") from None
+def _color(v, palette: Optional[int]) -> int:
+    """A miss's color checked: one with an integer value (a bool, say)
+    reads as that int, anything else is refused, and the int must lie in
+    the palette (no bound above when it is None)."""
+    if type(v) is not int:
+        try:
+            v = index(v)
+        except TypeError:
+            raise ValueError(f"color {v!r} is not an integer") from None
+    if v < 0 or palette is not None and v >= palette:
+        raise ValueError(f"color {v} outside palette of {palette}")
+    return v
 
 
 class _TupleRows:
@@ -91,10 +92,8 @@ class _FiniteMemo(_TupleRows, dict):
         if any(map(ge, t, t[1:])):
             raise ValueError(f"tuple must increase: {t}")
         v = self.fn(t)
-        if type(v) is not int:
-            v = _int_color(v)
-        if not 0 <= v < self.palette:
-            raise ValueError(f"color {v} outside palette of {self.palette}")
+        if type(v) is not int or not 0 <= v < self.palette:
+            v = _color(v, self.palette)
         self[t] = v
         return v
 
@@ -120,39 +119,22 @@ class _ExactMemo(_TupleRows, dict):
         v = self.fn(s)
         if self.check:
             self.check(s, v)
-        if type(v) is not int:
-            v = _int_color(v)
-        palette = self.palette
-        if v < 0 or (palette is not None and v >= palette):
-            raise ValueError(f"color {v} outside palette of {palette}")
-        self[t] = v
+        self[t] = v = _color(v, self.palette)
         return v
 
 
-class _Unread(dict):
-    """A stage's colors by rank, ``_UNREAD`` for a rank not stored."""
-
-    __slots__ = ()
-
-    def __missing__(self, r: int) -> int:
-        return _UNREAD
-
-
 class _StageTable:
-    """A stage coloring's colors by the colex rank of a tuple's positions
-    in the stage universe (Knuth, TAOCP 4A, 7.2.1.3): the tuple at
-    positions p1 < ... < pa has rank C(p1, 1) + ... + C(pa, a).  A rank
-    is a sum of per-slot terms, so a row of tuples that share a suffix
-    is read as the heads' ranks plus the suffix's rank.  The store is a
-    dict of the ranks read (``_Unread``) until they make one in
-    ``_SPARSE`` of the stage's tuples, then a table of one byte per
-    stage tuple.  An unread rank reads ``_UNREAD``; its miss builds the
-    tuple's exactly large set, evaluates, runs the check if there is
-    one, checks the palette and stores.  Holds no reference to its
-    coloring."""
+    """A stage coloring's colors in a table of one byte per stage tuple,
+    allocated when the stage is built and indexed by the colex rank of a
+    tuple's positions in the stage universe (Knuth, TAOCP 4A, 7.2.1.3):
+    the tuple at positions p1 < ... < pa has rank C(p1, 1) + ... +
+    C(pa, a).  A rank is a sum of per-slot terms, so a row of tuples that
+    share a suffix is read as the heads' ranks plus the suffix's rank.
+    An unread rank reads ``_UNREAD``; its miss builds the tuple's exactly
+    large set, evaluates, runs the check if there is one, checks the
+    palette and stores.  Holds no reference to its coloring."""
 
-    __slots__ = ("fn", "prefix", "palette", "check", "universe", "slots", "size",
-                 "dense_at", "store")
+    __slots__ = ("fn", "prefix", "palette", "check", "universe", "slots", "store")
 
     def __init__(self, fn, a: int, universe: tuple, palette: int, check):
         self.fn, self.prefix, self.palette, self.check = fn, (a,), palette, check
@@ -160,26 +142,16 @@ class _StageTable:
         # slots[k][x]: the rank term of universe element x at slot k + 1
         self.slots = [dict(zip(universe, map(comb, range(len(universe)), repeat(k))))
                       for k in range(1, a + 1)]
-        self.size = comb(len(universe), a)
-        self.dense_at = self.size // _SPARSE
-        self.store = _Unread()
+        self.store = bytearray([_UNREAD]) * comb(len(universe), a)
 
     def _miss(self, t: tuple, r: int) -> int:
         s = ExactlyLargeSet(self.prefix + t)
         v = self.fn(s)
         if self.check:
             self.check(s, v)
-        if type(v) is not int:
-            v = _int_color(v)
-        if not 0 <= v < self.palette:
-            raise ValueError(f"color {v} outside palette of {self.palette}")
-        store = self.store
-        store[r] = v
-        if len(store) >= self.dense_at:
-            table = bytearray([_UNREAD]) * self.size
-            for rank, color in store.items():
-                table[rank] = color
-            self.store, self.dense_at = table, inf
+        if type(v) is not int or not 0 <= v < self.palette:
+            v = _color(v, self.palette)
+        self.store[r] = v
         return v
 
     def __getitem__(self, t: tuple) -> int:
@@ -250,6 +222,8 @@ class _Memoized:
 
     _fn = property(lambda self: self._memo.fn,
                    lambda self, fn: setattr(self._memo, "fn", fn))
+    # read(t) is one tuple's read as in ``colors``; a call also checks a hit's entries.
+    read = property(lambda self: self._memo.__getitem__)
 
     def colors(self, tuples):
         """The colors of ``tuples``, lazily and in order: one memo read
@@ -307,33 +281,28 @@ class ExactColoring(_Memoized):
         self.name = name
         self._memo = _ExactMemo(fn, (), palette, self._check)
 
-    def at_min(self, a: int, universe=None) -> "ExactColoring":
+    def at_min(self, a: int, universe) -> "ExactColoring":
         """The stage coloring at minimum a over ``universe`` (a FinSet or
         increasing naturals, all above a): an increasing a-tuple of
         universe elements gets the color of the exactly large set of a
-        and the tuple.  Without a universe, every increasing a-tuple
-        above a is in the stage.
+        and the tuple.
 
         The stage shares this coloring's function and check but keeps
         its own colors, so each stage tuple is evaluated and stored
-        once: by rank (``_StageTable``), in a dict until the stage has
-        read one in ``_SPARSE`` of its tuples and from then on in a
-        table of one byte per stage tuple.  A stage without a universe,
-        with more than ``MAX_STAGE_TABLE`` tuples or with a palette
-        above 255 keeps a memo keyed by the tuple.  It has a
-        ``dimension`` like a FiniteColoring, and palette 2 when this
-        coloring has none.
+        once: by rank, in a table of one byte per stage tuple
+        (``_StageTable``).  A stage with more than ``MAX_STAGE_TABLE``
+        tuples or with a palette above 255 keeps a memo keyed by the
+        tuple instead.  It has a ``dimension`` like a FiniteColoring,
+        and palette 2 when this coloring has none.
         """
         stage = copy.copy(self)
         stage.palette = self.palette or 2
-        if universe is not None:
-            universe = (universe if isinstance(universe, FinSet) else FinSet(universe)).elems
-            if universe and universe[0] <= a:
-                raise ValueError(f"a stage universe at minimum {a} must lie above {a}")
-        if (universe is None or comb(len(universe), a) > MAX_STAGE_TABLE
-                or stage.palette > _UNREAD):
+        universe = (universe if isinstance(universe, FinSet) else FinSet(universe)).elems
+        if universe and universe[0] <= a:
+            raise ValueError(f"a stage universe at minimum {a} must lie above {a}")
+        if comb(len(universe), a) > MAX_STAGE_TABLE or stage.palette > _UNREAD:
             stage._memo = _ExactMemo(self._fn, (a,), stage.palette, self._check,
-                                     None if universe is None else frozenset(universe))
+                                     frozenset(universe))
         else:
             stage._memo = _StageTable(self._fn, a, universe, stage.palette, self._check)
         stage.dimension = a
@@ -341,9 +310,15 @@ class ExactColoring(_Memoized):
         return stage
 
     def __call__(self, s) -> int:
-        # Only validated keys are stored, so the memo is read before validation.
-        return self._memo[s if type(s) is tuple else (
-            s.elems if isinstance(s, FinSet) else tuple(s))]
+        # Only validated keys are stored, so the memo is read before
+        # validation, once no entry is a non-int that hashes as one (9.0).
+        if type(s) is not tuple:
+            s = s.elems if isinstance(s, FinSet) else tuple(s)
+        for x in s:
+            if type(x) is not int:
+                ExactlyLargeSet(self._prefix + s)
+                break
+        return self._memo[s]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

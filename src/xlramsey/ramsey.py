@@ -85,23 +85,30 @@ class Witness(_WitnessFields):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Witness":
-        per_min = d.get("per_min") if isinstance(d, dict) else None
-        if not (isinstance(d, dict) and isinstance(d.get("set"), list) and "kind" in d
-                and isinstance(per_min, (dict, type(None)))):
-            raise ValueError("a witness needs a 'set' list, a 'kind' and a null or dict 'per_min'")
+        if not (isinstance(d, dict) and isinstance(d.get("set"), list) and "kind" in d):
+            raise ValueError("a witness needs a 'set' list and a 'kind'")
         if d["kind"] not in WITNESS_KINDS:
             raise ValueError(f"unknown witness kind: {d['kind']!r}")
         if d.get("schema", WITNESS_SCHEMA) != WITNESS_SCHEMA:
             raise ValueError(f"unknown witness schema: {d['schema']!r}")
+        color, per_min = d.get("color"), d.get("per_min")
+        verified, budget = d.get("verified", False), d.get("budget", {})
+        for key, value, ok, want in (
+                ("color", color, type(color) in (int, type(None)), "an integer or null"),
+                ("per_min", per_min, per_min is None or type(per_min) is dict and all(
+                    k.isascii() and k.isdigit() and type(v) is int for k, v in per_min.items()),
+                 "null or an object from naturals to integers"),
+                ("verified", verified, type(verified) is bool, "true or false"),
+                ("budget", budget, type(budget) is dict, "an object")):
+            if not ok:
+                raise ValueError(f"witness field {key!r} must be {want}, got {value!r}")
         return cls(
             set=FinSet(d["set"]),
             kind=d["kind"],
-            color=d.get("color"),
-            per_min_colors=(
-                None if per_min is None else {int(k): v for k, v in per_min.items()}
-            ),
-            verified=bool(d.get("verified")),
-            budget_used=d.get("budget", {}),
+            color=color,
+            per_min_colors=None if per_min is None else {int(k): v for k, v in per_min.items()},
+            verified=verified,
+            budget_used=budget,
         )
 
 
@@ -192,6 +199,7 @@ def _first_subset(elems: tuple, k: int, new_subsets, by_min: bool, c):
     n, examined = len(elems), 0
     prefix, j = [], 0
     stack = [(-1, {})]  # per prefix length: (index of its last element, colors)
+    read = c.read
     while True:
         p = len(prefix)
         if p == k:
@@ -204,7 +212,7 @@ def _first_subset(elems: tuple, k: int, new_subsets, by_min: bool, c):
             continue
         x, colors = elems[j], stack[-1][1]
         for s in new_subsets(prefix, x):
-            v, key = c(s), s[0] if by_min else None
+            v, key = read(s), s[0] if by_min else None
             want = colors.get(key)
             if want is None:
                 colors = {**colors, key: v}

@@ -729,6 +729,31 @@ def test_bad_set_literal_names_the_flag_and_the_spec(capsys, verb, flag, spec):
 
 
 @pytest.mark.parametrize("field, value, message", [
+    ("color", "0", "witness field 'color' must be an integer or null, got '0'"),
+    ("color", True, "witness field 'color' must be an integer or null, got True"),
+    ("per_min", {"2": "0"},
+     "witness field 'per_min' must be null or an object from naturals to integers, "
+     "got {'2': '0'}"),
+    ("per_min", {"x": 0},
+     "witness field 'per_min' must be null or an object from naturals to integers, "
+     "got {'x': 0}"),
+    ("verified", "yes", "witness field 'verified' must be true or false, got 'yes'"),
+    ("budget", [], "witness field 'budget' must be an object, got []"),
+])
+def test_witness_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, field, value,
+                                                           message):
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..14", "--out-witness", str(w)]) == OK
+    payload = json.loads(w.read_text())
+    payload[field] = value
+    w.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
     ("kind", "bogus", "unknown witness kind: 'bogus'"),
     ("schema", "xlramsey.witness/99", "unknown witness schema: 'xlramsey.witness/99'"),
 ])

@@ -2,9 +2,9 @@ import gc
 import random
 import tracemalloc
 import weakref
-from itertools import accumulate, combinations, repeat
-from math import comb, inf
-from operator import eq
+from itertools import accumulate, combinations, islice, repeat
+from math import comb
+from operator import eq, getitem
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,7 @@ from xlramsey.machines import (
     run_bounded,
     staged_jump,
 )
-from xlramsey.colorings import _ExactMemo, _StageTable
+from xlramsey.colorings import _UNREAD, _ExactMemo, _StageTable
 from xlramsey.ramsey import _Restricted, _Subsets, exact_homog_search, verify_min_homogeneous
 
 DIVERGERS = (0, 2, 4, 7, 9)  # indices that never halt on any input
@@ -76,7 +76,7 @@ def test_exact_coloring_rejects_bad_input_on_every_call():
     # The memo is consulted before validation; a rejected input is never
     # stored, so a repeat raises again, whatever its shape.
     c = ExactColoring(lambda s: s.min() % 2)
-    stage = c.at_min(2)
+    stage = c.at_min(2, FinSet(range(3, 9)))
     off_palette = ExactColoring(lambda s: 2)
     not_regressive = RegressiveColoring(lambda s: s.min())
     for bad, coloring in [((3, 4), c), ([3, 4], c), (FinSet([3, 4]), c), ((2, 1), c),
@@ -98,11 +98,13 @@ def test_stage_miss_builds_its_set_with_one_validation(monkeypatch):
         init(self, elems)
 
     monkeypatch.setattr(FinSet, "__init__", counting_init)
-    seen = []
-    stage = ExactColoring(lambda s: seen.append(s) or 0).at_min(2)
-    assert stage((3, 4)) == 0 and runs == [ExactlyLargeSet]
-    assert [(type(s), s.elems) for s in seen] == [(ExactlyLargeSet, (2, 3, 4))]
-    assert stage((3, 4)) == 0 and len(runs) == 1
+    for store in ("tuple", "table"):
+        seen = []
+        stage = _stage(ExactColoring(lambda s: seen.append(s) or 0), 2, range(3, 9), store)
+        runs.clear()
+        assert stage((3, 4)) == 0 and runs == [ExactlyLargeSet]
+        assert [(type(s), s.elems) for s in seen] == [(ExactlyLargeSet, (2, 3, 4))]
+        assert stage((3, 4)) == 0 and len(runs) == 1
 
 
 def _raises_when_sum_is_a_multiple_of_5(s):
@@ -145,7 +147,7 @@ def _read_by_stream(stage, reads):
             colors.append(v)
     except Exception as exc:
         error = (type(exc), str(exc))
-    return colors, list(stage._memo.items()), error
+    return colors, _stored(stage._memo), error
 
 
 def _read_by_calls(stage, reads):
@@ -156,7 +158,17 @@ def _read_by_calls(stage, reads):
         except Exception as exc:
             error = (type(exc), str(exc))
             break
-    return colors, list(stage._memo.items()), error
+    return colors, _stored(stage._memo), error
+
+
+def _stored(memo):
+    """The (tuple, color) pairs a memo holds: a dict memo's in the order
+    stored, a stage table's in the order of the tuples."""
+    if not isinstance(memo, _StageTable):
+        return list(memo.items())
+    tuples = {sum(map(getitem, memo.slots, t)): t
+              for t in combinations(memo.universe, len(memo.slots))}
+    return sorted((tuples[r], v) for r, v in enumerate(memo.store) if v != _UNREAD)
 
 
 def _read_by_contract(stage, reads):
@@ -187,11 +199,16 @@ def test_stage_stream_reads_as_calls_do(case):
     # raise exactly what one validated call per tuple does, and a stream
     # stopped at its first error must have stored what the calls stored.
     # Both must keep the contract, in the same order.
+    # A stage table stores by rank, so its pairs are compared in the
+    # order of the tuples.
     a, kind, reads = case
     c = _STAGE_SOURCES[kind]()
-    expected = _read_by_contract(c.at_min(a), reads)
-    assert _read_by_stream(c.at_min(a), reads) == expected
-    assert _read_by_calls(c.at_min(a), reads) == expected
+    universe = FinSet(range(a + 1, a + 8))  # holds every good tuple
+    for store in ("tuple", "table"):
+        colors, memo, error = _read_by_contract(_stage(c, a, universe, store), reads)
+        expected = colors, memo if store == "tuple" else sorted(memo), error
+        assert _read_by_stream(_stage(c, a, universe, store), reads) == expected
+        assert _read_by_calls(_stage(c, a, universe, store), reads) == expected
 
 
 def _raises_when_sum_is_a_multiple_of_7(t):
@@ -276,16 +293,18 @@ class _CountingIter:
 @pytest.mark.parametrize("kind", ["stage", "finite"])
 def test_stream_read_stops_at_first_other_color(kind):
     # Colors 0, 0, 0, 1, 0, ...: an all-equal read must stop at the
-    # fourth tuple, pull nothing past it and have stored the four misses.
+    # fourth tuple, pull nothing past it and have stored the four misses,
+    # whatever the stage's store.
     if kind == "stage":
-        c = ExactColoring(lambda s: int(s.elems[1] == 6)).at_min(1)
+        cs = [_stage(ExactColoring(lambda s: int(s.elems[1] == 6)), 1, range(3, 12), store)
+              for store in ("tuple", "table")]
     else:
-        c = FiniteColoring(1, lambda t: int(t[0] == 6))
-    reads = [(x,) for x in range(3, 12)]
-    tuples = _CountingIter(reads)
-    assert not all(map(eq, c.colors(tuples), repeat(0)))
-    assert tuples.pulled == 4
-    assert list(c._memo.items()) == [((3,), 0), ((4,), 0), ((5,), 0), ((6,), 1)]
+        cs = [FiniteColoring(1, lambda t: int(t[0] == 6))]
+    for c in cs:
+        tuples = _CountingIter([(x,) for x in range(3, 12)])
+        assert not all(map(eq, c.colors(tuples), repeat(0)))
+        assert tuples.pulled == 4
+        assert _stored(c._memo) == [((3,), 0), ((4,), 0), ((5,), 0), ((6,), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +332,13 @@ def _logged_source(kind, palette, seed, log):
 
 def _stage(source, a, universe, store):
     """The stage at minimum a over universe, its colors kept in ``store``:
-    "tuple" (a memo keyed by tuple), "dict" (by rank, never a table),
-    "table" (a table from the first miss on) or "switch" (a dict for two
-    misses, then a table)."""
+    "tuple" (a memo keyed by tuple, as an oversize stage keeps them) or
+    "table" (by rank, one byte per stage tuple)."""
     stage = source.at_min(a, universe)
     assert isinstance(stage._memo, _StageTable)
     if store == "tuple":
         stage._memo = _ExactMemo(stage._fn, (a,), stage.palette, source._check,
                                  frozenset(universe))
-    else:
-        stage._memo.dense_at = {"dict": inf, "table": 0, "switch": 2}[store]
     return stage
 
 
@@ -406,14 +422,13 @@ def _apply(stage, op):
 @settings(max_examples=200, deadline=None)
 @given(stage_table_ops())
 def test_stage_table_reads_as_the_tuple_memo_does(case):
-    # The same reads of a stage stored by rank, in a dict, a table or a
-    # dict that turns into a table, and of a stage with a tuple memo give
-    # the same colors and exceptions and evaluate the same sets in the
-    # same order: streams, calls, rows through views of views, and row
-    # reads stopped at the first other color.
+    # The same reads of a stage stored by rank in a table and of a stage
+    # with a tuple memo give the same colors and exceptions and evaluate
+    # the same sets in the same order: streams, calls, rows through views
+    # of views, and row reads stopped at the first other color.
     a, palette, universe, kind, seed, ops = case
     runs = []
-    for store in ("tuple", "dict", "table", "switch"):
+    for store in ("tuple", "table"):
         log = []
         stage = _stage(_logged_source(kind, palette, seed, log), a, universe, store)
         results = []
@@ -423,19 +438,7 @@ def test_stage_table_reads_as_the_tuple_memo_does(case):
             except Exception as exc:
                 results.append((type(exc), str(exc)))
         runs.append((results, log))
-    assert runs[1:] == runs[:1] * 3
-
-
-def test_a_stage_turns_its_dict_into_a_table_at_one_in_sparse():
-    # C(12, 3) = 220 stage tuples: the dict holds at most 220 // 80 - 1
-    # ranks, and the table keeps every color stored before.
-    stage = ExactColoring(lambda s: sum(s.elems) % 2).at_min(3, FinSet(range(4, 16)))
-    table = stage._memo
-    assert table.size == 220 and table.dense_at == 220 // colorings._SPARSE == 2
-    assert stage((4, 5, 6)) == 0 and isinstance(table.store, dict)
-    assert stage((4, 5, 7)) == 1 and isinstance(table.store, bytearray)
-    assert len(table.store) == 220 and table.store.count(colorings._UNREAD) == 218
-    assert stage((4, 5, 6)) == 0 and stage((4, 5, 7)) == 1
+    assert runs[1] == runs[0]
 
 
 def test_colors_are_integers():
@@ -443,7 +446,7 @@ def test_colors_are_integers():
     # by every memo alike.
     makers = [(lambda fn: FiniteColoring(2, fn), (3, 4)), (ExactColoring, (1, 5))] + [
         (lambda fn, store=store: _stage(ExactColoring(fn), 2, FinSet(range(3, 9)), store),
-         (3, 4)) for store in ("tuple", "dict", "table")]
+         (3, 4)) for store in ("tuple", "table")]
     for v, want in ((True, 1), (False, 0), (1.0, None), ("1", None)):
         for make, t in makers:
             c = make(lambda _: v)
@@ -455,24 +458,63 @@ def test_colors_are_integers():
                 assert got == want and type(got) is int and c(t) == want
 
 
+def test_a_call_never_serves_a_stored_color_to_a_bad_entry():
+    # 9.0 and True hash and compare as 9 and 1 do: once the plain tuple is
+    # stored, a call still refuses them with the message of a fresh miss.
+    def plain():
+        return ExactColoring(lambda s: s.min() % 2)
+
+    def stage(store):
+        return lambda: _stage(plain(), 3, FinSet(range(4, 10)), store)
+
+    cases = [(plain, (1, 9), [(1, 9.0), [1, 9.0], (True, 9)])]
+    cases += [(stage(store), (4, 5, 6), [(4, 5, 6.0), (4.0, 5, 6), [4, 5, 6.0]])
+              for store in ("tuple", "table")]
+    for make, good, bads in cases:
+        c = make()
+        assert c(good) == c(list(good)) == 1
+        for bad in bads:
+            with pytest.raises(ValueError) as fresh:
+                make()(bad)
+            assert "not a natural number" in str(fresh.value)
+            with pytest.raises(ValueError) as hit:
+                c(bad)
+            assert str(hit.value) == str(fresh.value)
+
+
+def test_a_sparse_stage_allocates_one_table():
+    # Reading 1 in 40 of the C(24, 7) = 346,104 stage tuples peaks at about
+    # one byte per stage tuple: the table, allocated once, and nothing
+    # that grows with the reads.
+    tracemalloc.start()
+    try:
+        stage = ExactColoring(lambda s: sum(s.elems) % 2).at_min(7, FinSet(range(8, 32)))
+        for _ in stage.colors(islice(combinations(range(8, 32), 7), 0, None, 40)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = stage._memo.store
+    assert len(table) - table.count(_UNREAD) == -(-comb(24, 7) // 40)
+    assert peak < 1.25 * comb(24, 7)
+
+
 def test_stage_table_never_serves_a_bad_tuple():
     # The color of (5, 6, 7) is stored first; a tuple that is not a plain
     # increasing 3-tuple still fails as its exactly large set does.
-    universe = FinSet(range(4, 12))
-    for store in ("dict", "table"):
-        stage = _stage(ExactColoring(lambda s: sum(s.elems) % 2), 3, universe, store)
-        assert stage((5, 6, 7)) == 1 and list(stage.colors([(5, 6, 7)])) == [1]
-        for bad in [(7, 6, 5), (5, 7, 6), (5, 6), (5, 6, 7, 8), (5, 6, True), (5, 6, 7.0),
-                    (5.0, 6, 7), (-5, 6, 7), (3, 6, 7), (5, 5, 7)]:
-            with pytest.raises(ValueError) as want:
-                ExactlyLargeSet((3,) + bad)
-            for read in (stage, lambda t: next(stage.colors([t]))):
-                with pytest.raises(ValueError) as got:
-                    read(bad)
-                assert str(got.value) == str(want.value)
-        for outside in [(5, 6, 12), (12, 13, 14), (4, 5, 40)]:
-            with pytest.raises(ValueError, match=r"stage universe \{4,5,6,7,8,9,10,11\}"):
-                stage(outside)
+    stage = ExactColoring(lambda s: sum(s.elems) % 2).at_min(3, FinSet(range(4, 12)))
+    assert stage((5, 6, 7)) == 1 and list(stage.colors([(5, 6, 7)])) == [1]
+    for bad in [(7, 6, 5), (5, 7, 6), (5, 6), (5, 6, 7, 8), (5, 6, True), (5, 6, 7.0),
+                (5.0, 6, 7), (-5, 6, 7), (3, 6, 7), (5, 5, 7)]:
+        with pytest.raises(ValueError) as want:
+            ExactlyLargeSet((3,) + bad)
+        for read in (stage, lambda t: next(stage.colors([t]))):
+            with pytest.raises(ValueError) as got:
+                read(bad)
+            assert str(got.value) == str(want.value)
+    for outside in [(5, 6, 12), (12, 13, 14), (4, 5, 40)]:
+        with pytest.raises(ValueError, match=r"stage universe \{4,5,6,7,8,9,10,11\}"):
+            stage(outside)
 
 
 def test_oversize_stage_and_wide_palette_keep_the_tuple_memo():
@@ -508,9 +550,9 @@ def test_only_a_coloring_with_a_check_runs_it_on_a_miss():
     class Checked(ExactColoring):
         _check = staticmethod(lambda s, v: checked.append((s.elems, v)))
 
-    for universe in (None, FinSet(range(3, 8))):
+    for store in ("tuple", "table"):
         checked.clear()
-        stage = Checked(lambda s: 1).at_min(2, universe)
+        stage = _stage(Checked(lambda s: 1), 2, FinSet(range(3, 8)), store)
         assert stage((3, 4)) == 1 and stage((3, 4)) == 1
         assert checked == [((2, 3, 4), 1)]
 
@@ -518,10 +560,11 @@ def test_only_a_coloring_with_a_check_runs_it_on_a_miss():
 _TO_FREE = {
     "finite": (lambda: FiniteColoring(2, lambda t: t[0] % 2), (4, 5)),
     "exact": (lambda: ExactColoring(lambda s: s.min() % 2), (2, 3, 4)),
-    "exact stage": (lambda: ExactColoring(lambda s: s.min() % 2).at_min(3), (4, 5, 6)),
+    "exact stage": (lambda: ExactColoring(lambda s: s.min() % 2).at_min(3, range(4, 9)),
+                    (4, 5, 6)),
     "regressive": (lambda: RegressiveColoring(lambda s: s.min() // 2), (2, 3, 4)),
-    "regressive stage": (lambda: RegressiveColoring(lambda s: s.min() // 2).at_min(3),
-                         (4, 5, 6)),
+    "regressive stage": (lambda: RegressiveColoring(lambda s: s.min() // 2).at_min(
+        3, range(4, 9)), (4, 5, 6)),
 }
 
 
@@ -533,7 +576,7 @@ def test_no_memo_keeps_its_coloring_alive(kind):
     gc.disable()
     try:
         c = make()
-        assert list(c.colors([t])) == [c(t)] and len(c._memo) == 1
+        assert list(c.colors([t])) == [c(t)] and len(_stored(c._memo)) == 1
         ref = weakref.ref(c)
         del c
         assert ref() is None

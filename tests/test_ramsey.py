@@ -7,7 +7,6 @@ import tracemalloc
 import weakref
 from bisect import bisect_right
 from itertools import combinations, count
-from math import inf
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +20,7 @@ from conftest import (
 )
 import reference_extract
 
-from xlramsey.colorings import ExactColoring, FiniteColoring, _ExactMemo, _pigeonhole
+from xlramsey.colorings import _UNREAD, ExactColoring, FiniteColoring, _ExactMemo, _pigeonhole
 from xlramsey.largesets import FinSet
 from xlramsey.ramsey import (
     DEFAULT_BUDGET,
@@ -406,7 +405,7 @@ def test_every_branch_leftmost_path_returns_is_end_homogeneous(
     depth = {"view": 1, "view of a view": 2}.get(kind, 0)
     exact = kind == "exact"
     universe = FinSet(sorted(x + dim + 1 if exact else x for x in elems))
-    c = extraction_coloring(seed, dim + depth, palette, exact, None)
+    c = extraction_coloring(seed, dim + depth, palette, exact, None, universe)
     for _ in range(depth):
         path = leftmost_path(c, universe, len(universe), budget).path.elems if universe else ()
         c, universe = _Restricted(c, path), FinSet(path[:-1])
@@ -518,7 +517,7 @@ class Poisoned(Exception):
     pass
 
 
-def extraction_coloring(seed, dim, palette, exact, poison, universe=None, log=None):
+def extraction_coloring(seed, dim, palette, exact, poison, universe, log=None):
     """A fresh random coloring whose evaluation number ``poison`` raises,
     appending every tuple it evaluates to ``log`` if one is given: a
     FiniteColoring, or the stage coloring at minimum dim of an exact one
@@ -583,19 +582,17 @@ def test_extraction_raises_where_the_reference_raises():
 def test_extraction_beyond_the_stage_universe_names_it():
     # Heads, candidates and view tails outside the stage's universe fail
     # as their first tuple read does, whatever the stage's store.
-    for store in ("tuple", "dict", "table"):
+    for store in ("tuple", "table"):
         stage = ExactColoring(lambda s: s.min() % 2).at_min(3, FinSet(range(4, 12)))
         if store == "tuple":
             stage._memo = _ExactMemo(stage._fn, (3,), 2, None, frozenset(range(4, 12)))
-        else:
-            stage._memo.dense_at = {"dict": inf, "table": 0}[store]
         with pytest.raises(ValueError, match=r"\(4, 5, 12\) is not a tuple of the stage universe"):
             f_a_extract(3, stage, FinSet(range(4, 14)), 9)
 
 
 def test_memo_hits_make_no_calls(monkeypatch):
     c = ExactColoring(lambda s: s.min() % 2, name="parity-of-min")
-    stage = c.at_min(5)
+    stage = c.at_min(5, FinSet(range(6, 20)))
     evaluations = calls = 0
     fn, call = stage._fn, ExactColoring.__call__
 
@@ -612,7 +609,8 @@ def test_memo_hits_make_no_calls(monkeypatch):
     stage._fn = counting_fn
     monkeypatch.setattr(ExactColoring, "__call__", counting_call)
     w = f_a_extract(5, stage, FinSet(range(6, 20)), 14)
-    assert w.verified and evaluations == len(stage._memo) == 2002
+    assert w.verified and evaluations == len(stage._memo.store) == 2002
+    assert _UNREAD not in stage._memo.store
     assert calls == 0
 
 

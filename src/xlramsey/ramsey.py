@@ -16,7 +16,7 @@ from math import comb
 from operator import eq
 from typing import NamedTuple, Optional
 
-from .colorings import ExactColoring, FiniteColoring, _pigeonhole
+from .colorings import ExactColoring, FiniteColoring, _pigeonhole, _Subsets
 from .largesets import FinSet, enumerate_exactly_large
 
 
@@ -295,14 +295,11 @@ def _split(node: tuple, pool, c: FiniteColoring) -> dict:
     sub in C(node[:-1], a-1) with a = c.dimension - 1.  Classes come in
     order of their minima.  The heads sub + (t,) are fixed per node, so
     each candidate's colors are one row read (``c.row``)."""
-    heads = ()
-    if node:
-        t = node[-1]
-        heads = [sub + (t,) for sub in combinations(node[:-1], c.dimension - 2)]
-    if not heads:
+    if not node or len(node) < c.dimension - 1:  # no heads, so no colors
         return {(): list(pool)} if pool else {}
+    read = c.row(_Subsets(node[:-1], c.dimension - 2, node[-1:]))
     classes: dict = {}
-    for j, key in zip(pool, map(c.row(heads), pool)):
+    for j, key in zip(pool, map(read, pool)):
         members = classes.get(key)
         if members is None:
             classes[key] = [j]
@@ -463,34 +460,6 @@ class _Restricted:
         return finished
 
 
-class _Subsets:
-    """The k-subsets of an increasing list in lexicographic order, as a
-    sequence that holds none of them: iterating runs ``combinations``,
-    and item i is found by counting subsets.  The greedy step's heads:
-    on a dh chain over interval:2..34 one row holds 817,190 of them,
-    and as a list of tuples they take the peak RSS from 70 to 147 MB."""
-
-    __slots__ = ("elems", "k")
-
-    def __init__(self, elems, k: int):
-        self.elems, self.k = tuple(elems), k
-
-    def __iter__(self):
-        return combinations(self.elems, self.k)
-
-    def __getitem__(self, i: int) -> tuple:
-        out, k, n = [], self.k, len(self.elems)
-        for p, x in enumerate(self.elems):
-            if len(out) == k:
-                break
-            below = comb(n - p - 1, k - len(out) - 1)
-            if i < below:
-                out.append(x)
-            else:
-                i -= below
-        return tuple(out)
-
-
 def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
                    universe: FinSet, target: int) -> FinSet:
     """Grow a monochromatic set with universe elements that keep every
@@ -499,7 +468,8 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
     (a-1)-subset of the set in lexicographic order, so the result stays
     exactly as verified as the input.  A candidate above every chosen
     element ends each tuple: its tuples are one row read, whose heads
-    change only when an element is added."""
+    (``_Subsets``, ranked as a whole) change only when an element is
+    added."""
     if color is None or len(base) >= target:
         return base
     chosen = list(base.elems)

@@ -38,7 +38,7 @@ from xlramsey.machines import (
     run_bounded,
     staged_jump,
 )
-from xlramsey.colorings import _UNREAD, _ExactMemo, _StageTable
+from xlramsey.colorings import _UNREAD, _ExactMemo, _StageTable, _TupleRows
 from xlramsey.ramsey import _Restricted, _Subsets, exact_homog_search, verify_min_homogeneous
 
 DIVERGERS = (0, 2, 4, 7, 9)  # indices that never halt on any input
@@ -237,24 +237,29 @@ def finite_reads(draw):
         good.map(lambda t: t[::-1]),                       # not increasing (dimension 2 up)
         good.map(lambda t: (-t[0] - 1,) + t[1:]),          # a negative entry
         good.map(lambda t: t[:-1] + (True,)),              # a bool entry
+        good.map(lambda t: t[:-1] + (float(t[-1]),)),      # a float entry, hashed as its int
     )
     reads = draw(st.lists(st.one_of(good, good, good, bad), max_size=30))
     return dim, draw(st.sampled_from(sorted(_FINITE_SOURCES))), reads
 
 
-def _read_finite_by_contract(c, reads):
-    # The read contract spelled out: memo first; a miss checks the
-    # length, then that the tuple increases, evaluates, checks the
-    # palette, then stores.
+def _read_finite_by_contract(c, reads, calls):
+    # The read contract spelled out: memo first, except that a call reads
+    # a tuple with an entry that is not a plain int as a miss; a miss
+    # checks the length, then each entry in turn, a plain int above the
+    # one before it, evaluates, checks the palette, then stores.
     colors, memo = [], {}
     for t in reads:
         try:
-            v = memo.get(t)
+            v = None if calls and not all(type(x) is int for x in t) else memo.get(t)
             if v is None:
                 if len(t) != c.dimension:
                     raise ValueError(f"expected {c.dimension}-tuple, got {t}")
-                if any(a >= b for a, b in zip(t, t[1:])):
-                    raise ValueError(f"tuple must increase: {t}")
+                for i, x in enumerate(t):
+                    if type(x) is not int:
+                        raise ValueError(f"not a natural number: {x!r}")
+                    if i and x <= t[i - 1]:
+                        raise ValueError(f"tuple must increase: {t}")
                 v = c._fn(t)
                 if not 0 <= v < c.palette:
                     raise ValueError(f"color {v} outside palette of {c.palette}")
@@ -269,12 +274,12 @@ def _read_finite_by_contract(c, reads):
 @given(finite_reads())
 def test_finite_stream_reads_as_calls_do(case):
     # The FiniteColoring twin of the stage property: stream, calls and
-    # the written-out contract store, return and raise the same.
+    # the written-out contract store, return and raise the same, except
+    # that a stream, unchecked, serves 3.0 or True a stored hit of 3 or 1.
     dim, kind, reads = case
     make = _FINITE_SOURCES[kind]
-    expected = _read_finite_by_contract(make(dim), reads)
-    assert _read_by_stream(make(dim), reads) == expected
-    assert _read_by_calls(make(dim), reads) == expected
+    assert _read_by_stream(make(dim), reads) == _read_finite_by_contract(make(dim), reads, False)
+    assert _read_by_calls(make(dim), reads) == _read_finite_by_contract(make(dim), reads, True)
 
 
 class _CountingIter:
@@ -385,8 +390,12 @@ def stage_table_ops(draw):
         head = (st.lists(st.sampled_from(below), min_size=k, max_size=k, unique=True)
                 .map(lambda xs: tuple(sorted(xs))) if len(below) >= k > 0 else st.just(()))
         heads = draw(st.lists(head, max_size=6)) if len(below) >= k else []
-        if below and draw(st.booleans()):  # the greedy step's heads
-            heads = _Subsets(sorted(draw(st.sets(st.sampled_from(below)))), k)
+        if below and draw(st.booleans()):
+            chosen = sorted(draw(st.sets(st.sampled_from(below))))
+            if chosen and k and draw(st.booleans()):  # the node step's heads
+                heads = _Subsets(chosen[:-1], k - 1, (chosen[-1],))
+            else:  # the greedy step's
+                heads = _Subsets(chosen, k)
         return paths, heads, j, draw(st.none() | st.integers(0, palette - 1))
 
     ops = draw(st.lists(st.one_of(
@@ -441,6 +450,57 @@ def test_stage_table_reads_as_the_tuple_memo_does(case):
     assert runs[1] == runs[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_subsets_rank_as_their_heads_one_by_one(data):
+    # The suffix-first ranks of k-subsets followed by a tail are the
+    # per-head ranks of the same heads in combinations order.  With an
+    # element outside the universe the row falls back to tuple rows: it
+    # reads as the tuple memo's row of the same heads does.
+    k, t = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 2))
+    a = k + t + 1  # the heads fill k + t slots, the candidate the last
+    universe = sorted(data.draw(st.sets(st.integers(a + 1, a + 14), min_size=a + 1, max_size=11)))
+    chosen = set(data.draw(st.sets(st.sampled_from(universe[:-1]), min_size=t)))
+    if data.draw(st.booleans()):
+        chosen.add(data.draw(st.integers(0, a + 16).filter(lambda x: x not in universe)))
+    chosen = sorted(chosen)
+    elems, tail = chosen[:len(chosen) - t], tuple(chosen[len(chosen) - t:])
+    heads = _Subsets(elems, k, tail)
+
+    def table():
+        return _StageTable(lambda s: sum(s.elems) % 3, a, tuple(universe), 3, None)
+
+    if {x for h in heads for x in h} <= set(universe):
+        want = [sum(map(getitem, table().slots, sub + tail)) for sub in combinations(elems, k)]
+        assert table().ranks(heads) == table().ranks(list(heads)) == want
+        return
+    with pytest.raises(KeyError):
+        table().ranks(heads)
+    outcomes = []
+    for row in (table().row(heads, a), _TupleRows.row(table(), list(heads), a)):
+        try:
+            outcomes.append(tuple(row(universe[-1])))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_greedy_row_keeps_its_heads_as_subsets():
+    # One row read over the C(40, 4) = 91,390 heads of a greedy step, every
+    # tuple a miss, peaks at about 4.1 MB (the ranks, the row's colors);
+    # with the heads made a list of tuples it peaks at about 11.3 MB.
+    stage = ExactColoring(lambda s: 0).at_min(5, FinSet(range(6, 47)))
+    heads = _Subsets(range(6, 46), 4)
+    tracemalloc.start()
+    try:
+        assert stage.row(heads)(46, color=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stage._memo.store.count(0) == comb(40, 4)
+    assert peak < 6_000_000
+
+
 def test_colors_are_integers():
     # A bool reads as its int and any other non-integer color is refused,
     # by every memo alike.
@@ -467,7 +527,10 @@ def test_a_call_never_serves_a_stored_color_to_a_bad_entry():
     def stage(store):
         return lambda: _stage(plain(), 3, FinSet(range(4, 10)), store)
 
-    cases = [(plain, (1, 9), [(1, 9.0), [1, 9.0], (True, 9)])]
+    def finite():
+        return FiniteColoring(2, lambda t: int(t[0]) % 2)
+
+    cases = [(make, (1, 9), [(1, 9.0), [1, 9.0], (True, 9)]) for make in (plain, finite)]
     cases += [(stage(store), (4, 5, 6), [(4, 5, 6.0), (4.0, 5, 6), [4, 5, 6.0]])
               for store in ("tuple", "table")]
     for make, good, bads in cases:
@@ -480,6 +543,17 @@ def test_a_call_never_serves_a_stored_color_to_a_bad_entry():
             with pytest.raises(ValueError) as hit:
                 c(bad)
             assert str(hit.value) == str(fresh.value)
+
+
+def test_a_finite_miss_refuses_an_entry_that_is_not_a_plain_int():
+    # The miss path, a call's or a stream's, refuses a float or bool entry
+    # before it evaluates, and stores nothing.
+    for bad, name in (((3.0, 4), "3.0"), ((3, 4.5), "4.5"), ((True, 4), "True")):
+        c = FiniteColoring(2, lambda t: int(t[0]) % 2)
+        for read in (c, lambda t: next(c.colors([t]))):
+            with pytest.raises(ValueError, match=rf"^not a natural number: {name}$"):
+                read(bad)
+        assert c._memo == {}
 
 
 def test_a_sparse_stage_allocates_one_table():

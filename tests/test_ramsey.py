@@ -617,9 +617,10 @@ def test_memo_hits_make_no_calls(monkeypatch):
 def test_subsets_read_as_combinations():
     elems = (2, 3, 5, 8, 13, 21, 34)
     for k in range(len(elems) + 1):
-        subsets = _Subsets(list(elems), k)
-        want = list(combinations(elems, k))
-        assert list(subsets) == want == [subsets[i] for i in range(len(want))]
+        for tail in ((), (40,), (40, 55)):
+            subsets = _Subsets(list(elems), k, tail)
+            want = [sub + tail for sub in combinations(elems, k)]
+            assert list(subsets) == want == list(subsets)  # each iteration starts over
 
 
 def test_view_over_a_view_is_flat():

@@ -291,12 +291,40 @@ def _cmd_verify(args) -> int:
     verify = (verify_min_homogeneous if witness.kind == "min-homogeneous"
               else verify_exact_homogeneous)
     report = verify(witness.set, coloring)
+    false_claim = _false_claim(witness, report) if report.passed else None
+    if false_claim:
+        report = report._replace(passed=False)
     if args.out:
         _write_json(args.out, report.to_dict())
     status = "pass" if report.passed else "fail"
     print(f"verify {witness.kind} {witness.set.render()}: {status} "
-          f"({report.checked} subsets)")
+          f"({report.checked} subsets)" + (f": {false_claim}" if false_claim else ""))
     return OK if report.passed else VERIFY_FAILURE
+
+
+def _false_claim(witness: Witness, report) -> Optional[str]:
+    """The first color claim of a witness that its set, verified in
+    ``report``, contradicts, or None.  A min-homogeneous witness claims
+    the color of every minimum that starts an exactly large subset of the
+    set; any other witness claims the set's color, and each of its
+    per-min entries at such a minimum claims it too."""
+    if witness.kind == "min-homogeneous":
+        claimed = witness.per_min_colors or {}
+        for m, v in sorted(report.per_min.items()):
+            if claimed.get(m) != v:
+                return (f"witness field 'per_min' gives minimum {m} color {claimed.get(m)}, "
+                        f"the set gives it {v}")
+        return None
+    if report.color is None:  # no exactly large subset decides a color
+        return None
+    if witness.color != report.color:
+        return f"witness field 'color' is {witness.color}, the set's color is {report.color}"
+    elems, claimed = witness.set.elems, witness.per_min_colors or {}
+    for i, m in enumerate(elems):
+        if m <= len(elems) - i - 1 and claimed.get(m, report.color) != report.color:
+            return (f"witness field 'per_min' gives minimum {m} color {claimed[m]}, "
+                    f"the set's color is {report.color}")
+    return None
 
 
 def _cmd_decode(args) -> int:

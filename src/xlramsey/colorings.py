@@ -157,7 +157,9 @@ class _StageTable:
     share a suffix is read as the heads' ranks plus the suffix's rank.
     An unread rank reads ``_UNREAD``; its miss builds the tuple's exactly
     large set, evaluates, runs the check if there is one, checks the
-    palette and stores.  Holds no reference to its coloring."""
+    palette and stores.  A row's miss builds the set unchecked, since
+    its row and read were validated whole (``row``).  Holds no
+    reference to its coloring."""
 
     __slots__ = ("fn", "prefix", "palette", "check", "universe", "slots", "store")
 
@@ -206,16 +208,13 @@ class _StageTable:
                 keys.append(None)
         return keys
 
-    def ranks(self, heads) -> list:
+    def ranks(self, heads: _Subsets) -> list:
         """The ranks of the heads at the first slots, in order; KeyError
-        or TypeError for an element outside the universe.  A ``_Subsets``
-        is ranked suffix-first: the ranks of its subsets' last slot, then
-        of their last two slots, and so on, each the ranks before it with
-        one slot's term added, one C-level ``extend`` per first element.
-        Any other heads are ranked one at a time."""
+        or TypeError for an element outside the universe.  Ranked
+        suffix-first: the ranks of the subsets' last slot, then of their
+        last two slots, and so on, each the ranks before it with one
+        slot's term added, one C-level ``extend`` per first element."""
         slots = self.slots
-        if type(heads) is not _Subsets:
-            return list(map(sum, map(map, repeat(getitem), repeat(slots), heads)))
         elems, k, m = heads.elems, heads.k, len(heads.elems)
         if k > m:
             return []
@@ -234,16 +233,34 @@ class _StageTable:
         return ranks
 
     def row(self, heads, d):
-        try:
-            ranks = self.ranks(heads)
-        except (KeyError, TypeError):  # a head outside the universe
+        # Only a _Subsets row is read by rank, once it is validated whole:
+        # it fills slots 1 to d - 1, its elements (tail included) are plain
+        # increasing naturals, and they all have ranks, so every head is an
+        # increasing tuple of universe elements.  Any other row reads as
+        # tuple rows, validated per tuple.
+        width, ranks = len(self.slots) - d + 1, None
+        if (type(heads) is _Subsets and heads.k >= 0 and width >= 1
+                and heads.k + len(heads.tail) == d - 1):
+            try:
+                top = FinSet(heads.elems + heads.tail).elems[-1:]
+                ranks = self.ranks(heads)
+            except (ValueError, KeyError, TypeError):
+                pass
+        if ranks is None:
             return _TupleRows.row(self, heads, d)
         col, store, prefix = self.slots[d - 1], self.store, self.prefix
 
         def read(j, suffix=(), key=0, color=None):
+            # The candidate and suffix are validated once per read: they
+            # fill slots d to a, lie above the heads' top element and
+            # increase, and j and the suffix (key) have ranks.
+            end = (j,) + suffix
             try:
+                FinSet(top + end)
                 r = col[j] + key
-            except (KeyError, TypeError):  # j or the suffix lies outside the universe
+            except (ValueError, KeyError, TypeError):
+                r = None
+            if r is None or len(end) != width:
                 return _TupleRows.row(self, heads, d)(j, suffix, key, color)
             colors = bytes(map(store.__getitem__, map(r.__add__, ranks)))
             first = colors.find(_UNREAD)
@@ -252,16 +269,18 @@ class _StageTable:
             if color is not None and colors.count(color, 0, first) < first:
                 return False
             # The misses, evaluated in order from the first, the heads
-            # walked from there.
-            out, end = bytearray(colors), (j,) + suffix
+            # walked from there.  Each set is exactly large: the prefix
+            # (a,) lies below the universe and the a slots are filled.
+            out = bytearray(colors)
             fn, check, palette = self.fn, self.check, self.palette
+            of_valid = ExactlyLargeSet._of_valid
             for i, h in enumerate(islice(heads, first, None), first):
                 v = out[i]
                 if v == _UNREAD:
                     rk = ranks[i] + r
                     v = store[rk]  # a repeated head may have been stored since
                     if v == _UNREAD:
-                        s = ExactlyLargeSet(prefix + h + end)
+                        s = of_valid(prefix + h + end)
                         v = fn(s)
                         if check:
                             check(s, v)
@@ -306,10 +325,12 @@ class _Memoized:
         slot d (default: the last); ``read(j, color=color)`` is whether
         all of them have ``color``, read up to the first that has not.
         Each read evaluates the same tuples in the same order as one call
-        per tuple.  The heads are increasing (d-1)-tuples, and j lies
-        above each of them.  They are a list or a ``_Subsets``, which a
-        stage table ranks all at once; a read that misses iterates them
-        again from its first miss."""
+        per tuple, and a malformed tuple fails as its call does.  The
+        heads are increasing (d-1)-tuples, and j lies above each of them.
+        A stage table reads a ``_Subsets`` by rank, validated once per
+        row and once per read, and iterates it again from a read's first
+        miss; other heads, and a row or read that fails the check, are
+        read one tuple at a time through the validating tuple read."""
         return self._memo.row(heads, d or self.dimension)
 
 
@@ -364,10 +385,11 @@ class ExactColoring(_Memoized):
         (``_StageTable``).  A stage with more than ``MAX_STAGE_TABLE``
         tuples or with a palette above 255 keeps a memo keyed by the
         tuple instead.  It has a ``dimension`` like a FiniteColoring,
-        and palette 2 when this coloring has none.
+        and palette a (at least 2) when this coloring has none: a
+        regressive color at minimum a lies below a.
         """
         stage = copy.copy(self)
-        stage.palette = self.palette or 2
+        stage.palette = self.palette or max(a, 2)
         universe = (universe if isinstance(universe, FinSet) else FinSet(universe)).elems
         if universe and universe[0] <= a:
             raise ValueError(f"a stage universe at minimum {a} must lie above {a}")

@@ -119,6 +119,17 @@ class ExactlyLargeSet(FinSet):
         if not elems or len(elems) != elems[0] + 1:
             raise ValueError(f"not exactly large: {self.render()}")
 
+    @classmethod
+    def _of_valid(cls, elems: tuple) -> "ExactlyLargeSet":
+        """The set of ``elems`` without the element loop.  The caller
+        guarantees what ``__init__`` would check: ``elems`` is a tuple of
+        plain ints (no bool), strictly increasing from 0 up, whose length
+        is its first element plus one.  A stage table's row miss is the
+        one caller: its row and read were validated whole."""
+        s = object.__new__(cls)
+        s.elems = elems
+        return s
+
     def __hash__(self) -> int:
         return hash(("!", self.elems))
 

@@ -769,3 +769,58 @@ def test_witness_of_an_unknown_kind_or_schema_is_a_config_error(tmp_path, capsys
     capsys.readouterr()
     assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _tampered(tmp_path, argv, edit):
+    w = tmp_path / "w.json"
+    assert run_experiment(argv + ["--out-witness", str(w)]) == OK
+    assert run_experiment(["verify", "--witness", str(w)]) == OK
+    payload = json.loads(w.read_text())
+    edit(payload)
+    w.write_text(json.dumps(payload))
+    return w
+
+
+_CHAIN = ["search", "--mode", "chain", "--coloring", "parity-of-min",
+          "--universe", "interval:2..14"]
+_MIN_HOMOGENEOUS = ["search", "--mode", "min-homogeneous", "--coloring", "random:3",
+                    "--universe", "interval:3..20", "--k", "6"]
+
+
+def _flip_min(payload, m):
+    payload["per_min"][m] = 1 - payload["per_min"][m]
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    (_CHAIN, lambda p: p.update(color=1),
+     "witness field 'color' is 1, the set's color is 0"),
+    (_CHAIN, lambda p: p.update(per_min={k: 1 - v for k, v in p["per_min"].items()}),
+     "witness field 'per_min' gives minimum 2 color 1, the set's color is 0"),
+    (_MIN_HOMOGENEOUS, lambda p: _flip_min(p, "4"),
+     "witness field 'per_min' gives minimum 4 color 1, the set gives it 0"),
+    (_MIN_HOMOGENEOUS, lambda p: p["per_min"].pop("3"),
+     "witness field 'per_min' gives minimum 3 color None, the set gives it 0"),
+], ids=["chain color", "chain per_min", "min-homogeneous per_min", "min-homogeneous missing"])
+def test_verify_checks_the_color_claims_of_a_witness(tmp_path, capsys, argv, edit, message):
+    # The set {2,4,6,8} has color 0 and per-min colors {2:0,4:0,6:0}; the
+    # set {3,4,5,12,18,19} has per-min colors {3:0,4:0}.  A false claim
+    # fails verification and the report says so.
+    w = _tampered(tmp_path, argv, edit)
+    out = tmp_path / "v.json"
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w), "--out", str(out)]) == VERIFY_FAILURE
+    assert capsys.readouterr().out.endswith(f" subsets): {message}\n")
+    assert read_json(out)["passed"] is False
+
+
+@pytest.mark.parametrize("coloring, found", [("min-minus-one", [2, 8]),
+                                             ("second-mod-min", [2, 5])])
+def test_regressive_chains_give_verified_witnesses(tmp_path, coloring, found):
+    # A regressive stage at minimum a has palette a, so a color of 2 or
+    # more at a stage above 2 is no configuration error.
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--mode", "chain", "--coloring", coloring,
+                           "--universe", "interval:2..14", "--out-witness", str(w)]) == OK
+    payload = read_json(w)
+    assert payload["verified"] is True and payload["set"] == found
+    assert run_experiment(["verify", "--witness", str(w)]) == OK

@@ -353,7 +353,9 @@ def stage_table_ops(draw):
     minimum) and reads of it: streams and calls of mostly good tuples,
     with malformed tuples and tuples outside the universe mixed in; row
     reads, full or stopped at the first other color, of the stage, a
-    view of it or a view of a view."""
+    view of it or a view of a view, with malformed heads and candidates
+    not above every head mixed in, now and then after every good tuple
+    is stored."""
     a, palette = draw(st.integers(1, 5)), draw(st.integers(2, 3))
     elems = sorted(draw(st.sets(st.integers(a + 1, a + 12), min_size=a, max_size=9)))
     wider = list(range(a + 1, a + 15))  # the universe and elements outside it
@@ -391,14 +393,28 @@ def stage_table_ops(draw):
                 .map(lambda xs: tuple(sorted(xs))) if len(below) >= k > 0 else st.just(()))
         heads = draw(st.lists(head, max_size=6)) if len(below) >= k else []
         if below and draw(st.booleans()):
-            chosen = sorted(draw(st.sets(st.sampled_from(below))))
-            if chosen and k and draw(st.booleans()):  # the node step's heads
-                heads = _Subsets(chosen[:-1], k - 1, (chosen[-1],))
-            else:  # the greedy step's
-                heads = _Subsets(chosen, k)
+            # The greedy step's heads, or the node step's (a tail of one
+            # element, the top one); some malformed: elements not
+            # increasing, a bool element, or the tail below the elements.
+            chosen = sorted(draw(st.sets(st.sampled_from(below), min_size=min(k, len(below)))))
+            flaw = draw(st.sampled_from([None, "decreasing", "bool", "low tail"]))
+            n, tail = k, ()
+            if chosen and k and (flaw == "low tail" or draw(st.booleans())):
+                n, tail = k - 1, (chosen.pop(0 if flaw == "low tail" else -1),)
+            if flaw == "decreasing":
+                chosen.reverse()
+            elif flaw == "bool" and chosen:
+                chosen[0] = True
+            heads = _Subsets(chosen, n, tail)
+        held = sorted({x for h in heads for x in h})
+        if held and draw(st.booleans()):  # a candidate not above every head
+            j = draw(st.sampled_from(held))
         return paths, heads, j, draw(st.none() | st.integers(0, palette - 1))
 
-    ops = draw(st.lists(st.one_of(
+    # Every good tuple stored first, now and then, so that a malformed
+    # tuple's rank would find a stored color.
+    fill = [("stream", list(combinations(elems, a)))] if draw(st.booleans()) else []
+    ops = fill + draw(st.lists(st.one_of(
         st.tuples(st.just("stream"), st.lists(tuples, max_size=6)),
         st.tuples(st.just("call"), tuples),
         st.tuples(st.just("row"), row()),
@@ -450,6 +466,49 @@ def test_stage_table_reads_as_the_tuple_memo_does(case):
     assert runs[1] == runs[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(stage_table_ops())
+def test_every_set_a_row_read_evaluates_revalidates(case):
+    # A row miss builds its set without the element loop, trusting the
+    # row and the read it validated whole; every such set must pass that
+    # loop all the same.
+    a, palette, universe, kind, seed, ops = case
+    stage = _stage(_logged_source(kind, palette, seed, []), a, universe, "table")
+    fn, handed = stage._fn, []
+
+    def revalidated(s):
+        handed.append(s)
+        return fn(s)
+
+    stage._fn = revalidated
+    for op in ops:
+        try:
+            _apply(stage, op)
+        except Exception:
+            pass
+    for s in handed:
+        assert ExactlyLargeSet(s.elems) == s
+
+
+def test_a_row_never_serves_a_stored_color_to_a_malformed_tuple():
+    # The rank of (6, 4, 7) is that of (5, 6, 7): a row of the heads
+    # _Subsets((6, 4), 2) = [(6, 4)] must fail as the call does, not
+    # serve the stored color.
+    stage = ExactColoring(lambda s: sum(s.elems) % 2).at_min(3, FinSet(range(4, 9)))
+    assert stage((5, 6, 7)) == 1
+    for read in (lambda: stage((6, 4, 7)), lambda: tuple(stage.row(_Subsets((6, 4), 2))(7)),
+                 lambda: stage.row(_Subsets((6, 4), 2))(7, color=1)):
+        with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
+            read()
+    # A candidate not above every head: with every stage tuple stored, the
+    # row of (4, 5), (4, 6) and (5, 6) at 6 fails at (4, 6, 6), whose rank
+    # is that of (4, 5, 7), as the call does.
+    list(stage.colors(combinations(range(4, 9), 3)))
+    for read in (lambda: stage((4, 6, 6)), lambda: tuple(stage.row(_Subsets((4, 5, 6), 2))(6))):
+        with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
+            read()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_subsets_rank_as_their_heads_one_by_one(data):
@@ -472,7 +531,7 @@ def test_subsets_rank_as_their_heads_one_by_one(data):
 
     if {x for h in heads for x in h} <= set(universe):
         want = [sum(map(getitem, table().slots, sub + tail)) for sub in combinations(elems, k)]
-        assert table().ranks(heads) == table().ranks(list(heads)) == want
+        assert table().ranks(heads) == want
         return
     with pytest.raises(KeyError):
         table().ranks(heads)

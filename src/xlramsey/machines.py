@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .largesets import FinSet
 
@@ -64,54 +64,8 @@ def unpair(n: int) -> tuple[int, int]:
     return x, n - x * (x + 1) // 2
 
 
-def _cantor(a: int, b: int) -> int:
-    # Full-plane bijection used only for sequence coding.
-    return pair(a + b, b)
-
-
-def _uncantor(n: int) -> tuple[int, int]:
-    x, y = unpair(n)
-    return x - y, y
-
-
-def encode_list(values: Sequence[int]) -> int:
-    """Bijective code of a finite sequence of naturals."""
-    code = 0
-    for v in reversed(values):
-        code = _cantor(v, code) + 1
-    return code
-
-
-def decode_list(code: int) -> list[int]:
-    out = []
-    while code:
-        head, code = _uncantor(code - 1)
-        out.append(head)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # instruction and program coding
-
-def _zigzag(off: int) -> int:
-    return 2 * off if off >= 0 else -2 * off - 1
-
-
-def _unzigzag(z: int) -> int:
-    return z // 2 if z % 2 == 0 else -(z + 1) // 2
-
-
-def _instr_code(ins: tuple) -> int:
-    op, reg, off = ins
-    return 0 if op == HALT else 1 + reg + 4 * (op - 1 + _zigzag(off))
-
-
-def _code_instr(c: int) -> tuple:
-    if c == 0:
-        return (HALT, 0, 0)
-    q, reg = divmod(c - 1, 4)
-    return (q + 1, reg, 0) if q < 3 else (JZ, reg, _unzigzag(q - 3))
-
 
 class Program:
     """An immutable instruction sequence with its numeric index.
@@ -180,16 +134,39 @@ class Program:
 
 
 def encode_program(program: Program) -> int:
-    return encode_list([_instr_code(i) for i in program.instructions])
+    """0 for the empty program, else 1 + pair(h + r, r): h the head's code, r the rest's index."""
+    code = 0
+    for op, reg, off in reversed(program.instructions):
+        z = 2 * off if off >= 0 else -2 * off - 1  # zigzag: 0, -1, 1, ... to 0, 1, 2, ...
+        h = 0 if op == HALT else 1 + reg + 4 * (op - 1 + z)
+        d = h + code
+        code = d * (d + 1) // 2 + code + 1
+    return code
 
 
 @lru_cache(maxsize=65536)
 def decode_program(e: int) -> Program:
+    """The program of index e; the inverse of ``encode_program``."""
     if e < 0:
         raise ValueError("index must be a natural")
+    ins = []
+    while e:
+        # e - 1 = pair(d, e') with d = h + e'; isqrt keeps it exact past 2**53.
+        n = e - 1
+        d = (isqrt(8 * n + 1) - 1) // 2
+        e = n - d * (d + 1) // 2
+        h = d - e
+        q, reg = divmod(h - 1, 4)
+        if h == 0:
+            ins.append((HALT, 0, 0))
+        elif q < 3:
+            ins.append((q + 1, reg, 0))
+        else:
+            z = q - 3  # the zigzag of the jump offset
+            ins.append((JZ, reg, z // 2 if z % 2 == 0 else -(z + 1) // 2))
     # Every code decodes to a valid instruction, so no check is needed.
     program = Program.__new__(Program)
-    program._hold(tuple(map(_code_instr, decode_list(e))))
+    program._hold(tuple(ins))
     return program
 
 
@@ -531,7 +508,9 @@ def staged_jump(oracle: OracleSet, stages, programs=None) -> FinSet:
 # otherwise spins forever.
 _PROBE = ((QUERY, 0, 0), (JZ, 0, 0), (HALT, 0, 0))
 
-_REDUCTION_LIMIT = 10 ** 5
+# The most INCs a reduction step loads: m INCs before the probe give an index
+# of about 12 * 2**m bits (770,158 at m = 16), so m is bounded, not the index.
+_REDUCTION_LIMIT = 16
 
 
 def mone_reduction(i: int, j: int, m: int) -> int:

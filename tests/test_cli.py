@@ -635,6 +635,31 @@ def test_decode_replays_the_recorded_oracle(tmp_path, monkeypatch):
     assert specs == ["{0,3}", "empty"]
 
 
+def test_decode_refuses_a_reduction_whose_program_is_too_large(tmp_path):
+    # Query 0,0 on this set reduces from level 0 to 2.  Step 1 builds the
+    # probe, index 6894; a bound on that value rather than on the INC
+    # count would let step 2 build a 6,894-INC program, whose index has
+    # about 12 * 2**6894 bits, and never finish.
+    resource = pytest.importorskip("resource")
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"kind": "chain", "set": [3, 4, 5, 6, 7],
+                             "config": {"coloring": "comega"}}))
+    cap = 2 * 1024 ** 3
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xlramsey.cli", "decode", "--witness", str(w),
+         "--query", "0,0"],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "insufficient data" in proc.stdout
+
+
 def test_reduce_witness_of_a_seeded_coloring_verifies_without_flags(tmp_path):
     # Were the seed left out of the reduce witness, this verify would
     # replay `random` under seed 0 and exit 3.

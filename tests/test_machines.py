@@ -146,6 +146,88 @@ def test_decode_inverts_encode_and_text_round_trips(p):
     assert Program.parse(p.render()) == p
 
 
+# The numbering as a composition of small helpers: a sequence of naturals
+# is coded by a full-plane pairing, and each instruction by its code with
+# a zigzag jump offset.  Round trips alone would pass under any bijection;
+# these pin the one every index in README and the tests refers to.
+
+def _cantor(a, b):
+    return pair(a + b, b)
+
+
+def _uncantor(n):
+    x, y = unpair(n)
+    return x - y, y
+
+
+def encode_list(values):
+    code = 0
+    for v in reversed(values):
+        code = _cantor(v, code) + 1
+    return code
+
+
+def decode_list(code):
+    out = []
+    while code:
+        head, code = _uncantor(code - 1)
+        out.append(head)
+    return out
+
+
+def _zigzag(off):
+    return 2 * off if off >= 0 else -2 * off - 1
+
+
+def _unzigzag(z):
+    return z // 2 if z % 2 == 0 else -(z + 1) // 2
+
+
+def _instr_code(ins):
+    op, reg, off = ins
+    return 0 if op == HALT else 1 + reg + 4 * (op - 1 + _zigzag(off))
+
+
+def _code_instr(c):
+    if c == 0:
+        return (HALT, 0, 0)
+    q, reg = divmod(c - 1, 4)
+    return (q + 1, reg, 0) if q < 3 else (JZ, reg, _unzigzag(q - 3))
+
+
+def reference_encode(instructions):
+    return encode_list([_instr_code(i) for i in instructions])
+
+
+def reference_decode(e):
+    return tuple(map(_code_instr, decode_list(e)))
+
+
+def test_numbering_matches_the_reference_below_10_to_the_5():
+    for e in range(10 ** 5):
+        assert decode_program(e).instructions == reference_decode(e), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.integers(0, 2 ** 256 - 1))
+def test_numbering_matches_the_reference_on_large_indices(e):
+    assert decode_program(e).instructions == reference_decode(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=programs_st)
+def test_encoding_matches_the_reference(p):
+    assert encode_program(p) == reference_encode(p.instructions)
+
+
+def test_numbering_fixed_indices():
+    assert decode_program(1) == Program([(HALT, 0, 0)])
+    assert decode_program(46) == Program([(QUERY, 0, 0)])
+    assert decode_program(57) == Program([(QUERY, 0, 0), (HALT, 0, 0)])
+    assert decode_program(6894) == Program([(QUERY, 0, 0), (JZ, 0, 0), (HALT, 0, 0)])
+    assert PROBE == 6894
+
+
 # ---------------------------------------------------------------------------
 # bounded runs
 

@@ -26,7 +26,7 @@ from .colorings import (
     rt_via_km,
 )
 from .decoders import DEFAULT_TRUTH_CUTOFF, m_decode
-from .largesets import FinSet, enumerate_exactly_large
+from .largesets import FinSet, count_exactly_large, enumerate_exactly_large
 from .machines import EMPTY, ExplicitOracle, load_program_universe
 from .ramsey import (
     DEFAULT_BUDGET,
@@ -144,7 +144,7 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path, header: list, rows: list) -> None:
+def _write_csv(path, header: list, rows) -> None:
     import csv  # only verbs that write a CSV pay for the import
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -158,15 +158,9 @@ def _write_csv(path, header: list, rows: list) -> None:
 
 def _cmd_enumerate(args) -> int:
     universe = parse_universe(args.universe)
-    rows = []
-    count = 0
-    for s in enumerate_exactly_large(universe):
-        count += 1
-        if args.out:
-            rows.append([s.render()])
     if args.out:
-        _write_csv(args.out, ["set"], rows)
-    print(f"exactly-large subsets of {universe.render()}: {count}")
+        _write_csv(args.out, ["set"], ([s.render()] for s in enumerate_exactly_large(universe)))
+    print(f"exactly-large subsets of {universe.render()}: {count_exactly_large(universe)}")
     return OK
 
 

@@ -55,21 +55,16 @@ def _color(v, palette: Optional[int]) -> int:
 
 
 class _TupleRows:
-    """Row reads of a memo keyed by tuple: each key is a head, the
-    candidate and the suffix, read through the memo's own
-    ``__getitem__``; the suffix's key is not used."""
+    """Row reads of a memo keyed by tuple: each key is a head followed by
+    the read's end, read through the memo's own ``__getitem__``."""
 
     __slots__ = ()
 
-    @staticmethod
-    def suffix_keys(suffixes):
-        return suffixes
-
-    def row(self, heads, d):
+    def row(self, heads):
         get = self.__getitem__
 
-        def read(j, suffix=(), key=None, color=None):
-            colors = map(get, map(add, heads, repeat((j,) + suffix)))
+        def read(end, color=None):
+            colors = map(get, map(add, heads, repeat(end)))
             return tuple(colors) if color is None else all(map(eq, colors, repeat(color)))
 
         return read
@@ -197,17 +192,6 @@ class _StageTable:
         v = self.store[r]
         return self._miss(t, r) if v == _UNREAD else v
 
-    def suffix_keys(self, suffixes):
-        """The rank of each suffix at the last slots, or None for a suffix
-        with an element outside the universe."""
-        slots, keys = self.slots, []
-        for t in suffixes:
-            try:
-                keys.append(sum(map(getitem, slots[len(slots) - len(t):], t)))
-            except (KeyError, TypeError):
-                keys.append(None)
-        return keys
-
     def ranks(self, heads: _Subsets) -> list:
         """The ranks of the heads at the first slots, in order; KeyError
         or TypeError for an element outside the universe.  Ranked
@@ -232,36 +216,35 @@ class _StageTable:
             ranks = longer
         return ranks
 
-    def row(self, heads, d):
+    def row(self, heads):
         # Only a _Subsets row is read by rank, once it is validated whole:
-        # it fills slots 1 to d - 1, its elements (tail included) are plain
-        # increasing naturals, and they all have ranks, so every head is an
-        # increasing tuple of universe elements.  Any other row reads as
-        # tuple rows, validated per tuple.
-        width, ranks = len(self.slots) - d + 1, None
-        if (type(heads) is _Subsets and heads.k >= 0 and width >= 1
-                and heads.k + len(heads.tail) == d - 1):
+        # it fills at most the a slots, its elements (tail included) are
+        # plain increasing naturals, and they all have ranks, so every head
+        # is an increasing tuple of universe elements.  Any other row reads
+        # as tuple rows, validated per tuple.
+        ranks = None
+        if type(heads) is _Subsets and 0 <= heads.k <= len(self.slots) - len(heads.tail):
             try:
                 top = FinSet(heads.elems + heads.tail).elems[-1:]
                 ranks = self.ranks(heads)
             except (ValueError, KeyError, TypeError):
                 pass
         if ranks is None:
-            return _TupleRows.row(self, heads, d)
-        col, store, prefix = self.slots[d - 1], self.store, self.prefix
+            return _TupleRows.row(self, heads)
+        rest = self.slots[heads.k + len(heads.tail):]
+        store, prefix = self.store, self.prefix
 
-        def read(j, suffix=(), key=0, color=None):
-            # The candidate and suffix are validated once per read: they
-            # fill slots d to a, lie above the heads' top element and
-            # increase, and j and the suffix (key) have ranks.
-            end = (j,) + suffix
+        def read(end, color=None):
+            # The end is validated once per read: it fills the slots the
+            # heads leave, lies above the heads' top element and increases,
+            # and its elements have ranks.
             try:
                 FinSet(top + end)
-                r = col[j] + key
+                r = sum(map(getitem, rest, end))
             except (ValueError, KeyError, TypeError):
                 r = None
-            if r is None or len(end) != width:
-                return _TupleRows.row(self, heads, d)(j, suffix, key, color)
+            if r is None or len(end) != len(rest):
+                return _TupleRows.row(self, heads)(end, color)
             colors = bytes(map(store.__getitem__, map(r.__add__, ranks)))
             first = colors.find(_UNREAD)
             if first < 0:
@@ -312,26 +295,20 @@ class _Memoized:
         in the same order would."""
         return map(self._memo.__getitem__, tuples)
 
-    def suffix_keys(self, suffixes):
-        """The memo's keys of suffixes that finish tuples (a view's tails),
-        to pass to a row read."""
-        return self._memo.suffix_keys(suffixes)
-
-    def row(self, heads, d=None):
-        """A reader of rows: ``read(j)`` is the colors of h + (j,) for the
+    def row(self, heads):
+        """A reader of rows: ``read(end)`` is the colors of h + end for the
         heads h in order, as one hashable sequence, every miss evaluated
-        in order; ``read(j, suffix, key)`` finishes each tuple with
-        ``suffix`` (key: its entry of ``suffix_keys``), and j then sits at
-        slot d (default: the last); ``read(j, color=color)`` is whether
-        all of them have ``color``, read up to the first that has not.
-        Each read evaluates the same tuples in the same order as one call
-        per tuple, and a malformed tuple fails as its call does.  The
-        heads are increasing (d-1)-tuples, and j lies above each of them.
-        A stage table reads a ``_Subsets`` by rank, validated once per
-        row and once per read, and iterates it again from a read's first
-        miss; other heads, and a row or read that fails the check, are
-        read one tuple at a time through the validating tuple read."""
-        return self._memo.row(heads, d or self.dimension)
+        in order; ``read(end, color)`` is whether all of them have
+        ``color``, read up to the first that has not.  Each read evaluates
+        the same tuples in the same order as one call per tuple, and a
+        malformed tuple fails as its call does.  The heads are increasing
+        tuples of one length; the end fills the slots after them and lies
+        above each of them.  A stage table reads a ``_Subsets`` by rank,
+        validated once per row and once per read, and iterates it again
+        from a read's first miss; other heads, and a row or read that
+        fails the check, are read one tuple at a time through the
+        validating tuple read."""
+        return self._memo.row(heads)
 
 
 class FiniteColoring(_Memoized):

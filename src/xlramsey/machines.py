@@ -523,8 +523,12 @@ def mone_reduction(i: int, j: int, m: int) -> int:
         raise ValueError("reduction requires i <= j")
     for _ in range(j - i):
         if m > _REDUCTION_LIMIT:
+            # An index above 14,000 bits is named by its length: its
+            # digits may pass the interpreter's integer-string limit
+            # (4,300 by default), so printing them depends on a setting.
+            name = m if m.bit_length() <= 14_000 else f"a {m.bit_length()}-bit index"
             raise ValueError(
-                f"halt0 reduction of {m} exceeds the desk-scale program size limit"
+                f"halt0 reduction of {name} exceeds the desk-scale program size limit"
             )
         m = Program(((INC, 0, 0),) * m + _PROBE).index
     return m

@@ -294,12 +294,12 @@ def _split(node: tuple, pool, c: FiniteColoring) -> dict:
     colors of the tuples sub + (t, j), for t the node's last entry and
     sub in C(node[:-1], a-1) with a = c.dimension - 1.  Classes come in
     order of their minima.  The heads sub + (t,) are fixed per node, so
-    each candidate's colors are one row read (``c.row``)."""
+    each candidate's colors are one row read (``c.row``) of the end (j,)."""
     if not node or len(node) < c.dimension - 1:  # no heads, so no colors
         return {(): list(pool)} if pool else {}
     read = c.row(_Subsets(node[:-1], c.dimension - 2, node[-1:]))
     classes: dict = {}
-    for j, key in zip(pool, map(read, pool)):
+    for j, key in zip(pool, map(read, zip(pool))):
         members = classes.get(key)
         if members is None:
             classes[key] = [j]
@@ -421,14 +421,12 @@ class _Restricted:
     A view over a view is flat: it keeps the memoizing coloring at the
     bottom (``c``) and, per element y of its own branch, the whole suffix
     that finishes a tuple whose next branch element is y, read off the
-    stack of branches, with the bottom memo's key of each suffix
-    (``tail_keys``, indexed like ``tails``: the suffix's rank in a stage
-    table).  So a row restricted k levels deep costs one lookup and one
-    addition per candidate, and one memo read per tuple.  Keeps no memo:
+    stack of branches.  So a row restricted k levels deep costs one
+    lookup per read, and one memo read per tuple.  Keeps no memo:
     the bottom coloring has one, and it validates the finished tuple on a
     miss."""
 
-    __slots__ = ("c", "path", "tails", "tail_keys", "dimension")
+    __slots__ = ("c", "path", "tails", "dimension")
 
     def __init__(self, c, path: tuple):
         self.path, self.dimension = path, c.dimension - 1
@@ -440,7 +438,6 @@ class _Restricted:
                           if (i := bisect_right(c.path, y)) < len(below)]
         else:
             self.c, self.tails = c, [(y,) for y in path]
-        self.tail_keys = self.c.suffix_keys(self.tails)
 
     def colors(self, tuples):
         """The colors of the finished tuples, lazily and in order."""
@@ -449,13 +446,12 @@ class _Restricted:
 
     def row(self, heads):
         """A reader of rows of the finished tuples: the bottom coloring's,
-        given each candidate's suffix and the suffix's key."""
-        read = self.c.row(heads, self.dimension)
-        path, tails, keys = self.path, self.tails, self.tail_keys
+        each end finished as ``colors`` finishes a tuple."""
+        read = self.c.row(heads)
+        path, tails = self.path, self.tails
 
-        def finished(j, color=None):
-            i = bisect_right(path, j)
-            return read(j, tails[i], keys[i], color)
+        def finished(end, color=None):
+            return read(end + tails[bisect_right(path, end[-1])], color)
 
         return finished
 
@@ -487,7 +483,7 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
         else:
             if agrees is None:
                 agrees = c.row(_Subsets(chosen, a - 1))
-            ok = agrees(x, color=color)
+            ok = agrees((x,), color)
         if ok:
             insort(chosen, x)
             pool.add(x)

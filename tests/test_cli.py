@@ -849,3 +849,52 @@ def test_regressive_chains_give_verified_witnesses(tmp_path, coloring, found):
     payload = read_json(w)
     assert payload["verified"] is True and payload["set"] == found
     assert run_experiment(["verify", "--witness", str(w)]) == OK
+
+
+def test_enumerate_counts_a_large_universe_by_formula():
+    # interval:2..60 holds 2,504,730,781,901 exactly large subsets: far too
+    # many to walk, so the count is the binomial sum.
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xlramsey.cli", "enumerate", "--universe", "interval:2..60"],
+        capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(": 2504730781901\n")
+
+
+@pytest.mark.parametrize("universe", ["interval:0..9", "interval:1..10", "interval:2..13",
+                                      "evens:0..18", "evens:2..20", "{0}", "{1}", "{0,1}",
+                                      "{0,1,2,3}", "{1,2,5,6,9}", "{3,4,5,6}", "{}"])
+def test_enumerate_count_is_the_number_of_rows_written(tmp_path, capsys, universe):
+    out = tmp_path / "sets.csv"
+    assert run_experiment(["enumerate", "--universe", universe, "--out", str(out)]) == OK
+    printed = capsys.readouterr().out
+    rows = read_csv(out)
+    assert rows[0] == ["set"]
+    assert printed.endswith(f": {len(rows) - 1}\n")
+
+
+def test_reduction_note_is_the_same_under_any_integer_string_limit(tmp_path):
+    # Query 0,11 on a set with minimum 12 reduces an 11-INC program's
+    # index, 24,069 bits, one level further.  Its note names the index by
+    # its length rather than print it, whatever PYTHONINTMAXSTRDIGITS says.
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({"kind": "chain", "set": list(range(12, 25)),
+                             "config": {"coloring": "comega"}}))
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    notes = []
+    for limit in (None, "0"):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        out = tmp_path / f"verdicts{limit}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "xlramsey.cli", "decode", "--witness", str(w),
+             "--query", "0,11", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=dict(env, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        notes.append(read_csv(out)[1][-1])
+    assert notes[0] == notes[1] == ("insufficient data: halt0 reduction of a 24069-bit index "
+                                    "exceeds the desk-scale program size limit")

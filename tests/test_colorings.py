@@ -441,7 +441,7 @@ def _apply(stage, op):
     for path in paths:
         c = _Restricted(c, path)
     read = c.row(heads)
-    return tuple(read(j)) if color is None else read(j, color=color)
+    return tuple(read((j,))) if color is None else read((j,), color=color)
 
 
 @settings(max_examples=200, deadline=None)
@@ -496,15 +496,15 @@ def test_a_row_never_serves_a_stored_color_to_a_malformed_tuple():
     # serve the stored color.
     stage = ExactColoring(lambda s: sum(s.elems) % 2).at_min(3, FinSet(range(4, 9)))
     assert stage((5, 6, 7)) == 1
-    for read in (lambda: stage((6, 4, 7)), lambda: tuple(stage.row(_Subsets((6, 4), 2))(7)),
-                 lambda: stage.row(_Subsets((6, 4), 2))(7, color=1)):
+    for read in (lambda: stage((6, 4, 7)), lambda: tuple(stage.row(_Subsets((6, 4), 2))((7,))),
+                 lambda: stage.row(_Subsets((6, 4), 2))((7,), color=1)):
         with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
             read()
     # A candidate not above every head: with every stage tuple stored, the
     # row of (4, 5), (4, 6) and (5, 6) at 6 fails at (4, 6, 6), whose rank
     # is that of (4, 5, 7), as the call does.
     list(stage.colors(combinations(range(4, 9), 3)))
-    for read in (lambda: stage((4, 6, 6)), lambda: tuple(stage.row(_Subsets((4, 5, 6), 2))(6))):
+    for read in (lambda: stage((4, 6, 6)), lambda: tuple(stage.row(_Subsets((4, 5, 6), 2))((6,)))):
         with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
             read()
 
@@ -536,12 +536,86 @@ def test_subsets_rank_as_their_heads_one_by_one(data):
     with pytest.raises(KeyError):
         table().ranks(heads)
     outcomes = []
-    for row in (table().row(heads, a), _TupleRows.row(table(), list(heads), a)):
+    for row in (table().row(heads), _TupleRows.row(table(), list(heads))):
         try:
-            outcomes.append(tuple(row(universe[-1])))
+            outcomes.append(tuple(row((universe[-1],))))
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def split_rows(draw):
+    """A stage (arity 1 to 5, palette 2 or 3) and one row of it split at
+    slot d, for d from 0 to a - 1: _Subsets heads that fill the first d
+    slots (at d = 0 the single empty head) and reads of ends that fill
+    the other a - d, with malformed heads and ends mixed in, now and then
+    after every good tuple is stored."""
+    a, palette = draw(st.integers(1, 5)), draw(st.integers(2, 3))
+    elems = sorted(draw(st.sets(st.integers(a + 1, a + 12), min_size=a, max_size=9)))
+    wider = list(range(a + 1, a + 15))  # the universe and elements outside it
+    d = draw(st.integers(0, a - 1))
+    t = draw(st.integers(0, min(d, 2)))  # the heads' tail fills t of the d slots
+    source = draw(st.sampled_from([elems, elems, wider]))
+    chosen = sorted(draw(st.sets(st.sampled_from(source), min_size=t, max_size=d + 3)))
+    top = chosen[-1] if chosen else a
+    k, tail = d - t, tuple(chosen[len(chosen) - t:])
+    flaw = draw(st.sampled_from([None, None, "decreasing", "bool", "low tail", "width"]))
+    if flaw == "decreasing":
+        chosen.reverse()
+    elif flaw == "bool" and chosen:
+        chosen[0] = True
+    elif flaw == "low tail" and t:
+        tail = tuple(chosen[:t])
+        chosen = chosen[t:] + chosen[:t]
+    elif flaw == "width":
+        k = max(0, k + draw(st.sampled_from([-1, 1])))
+    heads = _Subsets(chosen[:len(chosen) - len(tail)], k, tail)
+    n = a - d
+    above = [x for x in draw(st.sampled_from([elems, elems, wider])) if x > top]
+    good = st.lists(st.sampled_from(above if len(above) >= n else wider), min_size=n,
+                    max_size=n, unique=True).map(lambda xs: tuple(sorted(xs)))
+    end = st.one_of(
+        good, good, good,
+        good.map(lambda e: e[::-1]),                                    # not increasing
+        good.map(lambda e: e[:-1]),                                     # too short
+        good.map(lambda e: e + (e[-1] + 1,)),                           # too long
+        good.map(lambda e: e[:-1] + (True,)),                           # a bool entry
+        good.map(lambda e: (-e[0],) + e[1:]),                           # a negative entry
+        good.map(lambda e: (top,) + e[1:]),                             # not above the heads
+    )
+    reads = draw(st.lists(st.tuples(end, st.none() | st.integers(0, palette - 1)),
+                          min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["plain", "fn raises", "palette breach", "regressive breach",
+                                 "float color", "bool color"]))
+    return a, palette, FinSet(elems), kind, draw(st.integers(0, 99)), draw(st.booleans()), \
+        heads, reads
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_rows())
+def test_a_row_reads_every_split_as_tuple_rows_do(case):
+    # Whatever slots the heads fill and the end fills, a row read of a
+    # table or a tuple memo gives the colors and exceptions of the tuple
+    # memo's row over the heads as a list, and evaluates the same sets in
+    # the same order.
+    a, palette, universe, kind, seed, fill, heads, reads = case
+    runs = []
+    for store in ("tuple", "table"):
+        for by_rank in (True, False):
+            log = []
+            stage = _stage(_logged_source(kind, palette, seed, log), a, universe, store)
+            results = [_apply(stage, ("stream", list(combinations(universe.elems, a))))
+                       if fill else None]
+            row = stage.row(heads) if by_rank else _TupleRows.row(stage._memo, list(heads))
+            for end, color in reads:
+                try:
+                    v = row(end, color)
+                    results.append(tuple(v) if color is None else v)
+                except Exception as exc:
+                    results.append((type(exc), str(exc)))
+            runs.append((results, log))
+    assert runs[1:] == runs[:1] * 3
 
 
 def test_greedy_row_keeps_its_heads_as_subsets():
@@ -552,7 +626,7 @@ def test_greedy_row_keeps_its_heads_as_subsets():
     heads = _Subsets(range(6, 46), 4)
     tracemalloc.start()
     try:
-        assert stage.row(heads)(46, color=0)
+        assert stage.row(heads)((46,), color=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -46,6 +46,16 @@ README = [
     ("readme-unknown-coloring", ["search", "--coloring", "nope", "--universe", "interval:2..8"]),
 ]
 
+OTHERS = [
+    ("search-homogeneous", ["search", "--mode", "homogeneous", "--coloring", "parity-of-sum",
+                            "--universe", "interval:2..12", "--k", "4",
+                            "--out-witness", "h.json", "--out-report", "h.csv"]),
+    ("search-homogeneous-none", ["search", "--mode", "homogeneous", "--coloring", "random:7",
+                                 "--universe", "interval:2..9", "--k", "7"]),
+    ("verify-other-coloring", ["verify", "--witness", "w.json", "--coloring", "random:7",
+                               "--out", "v.json"]),
+]
+
 # Chain runs at small candidate budgets, where the tree search is cut.
 SPECS = ["parity-of-min", "parity-of-sum", "sum-mod:3", "constant:2", "random",
          "random:7", "dh", "km-dh", "comega", "min-minus-one", "second-mod-min"]
@@ -60,7 +70,7 @@ def _chain(spec, m):
                   "--out-witness", f"{name}.json"]
 
 
-COMMANDS = README + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)]
+COMMANDS = README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)]
 
 
 def _digests(root):
@@ -106,7 +116,8 @@ if __name__ == "__main__":
     unknown = names - {n for n, _ in COMMANDS}
     if unknown:
         sys.exit(f"no such entries: {', '.join(sorted(unknown))}")
-    old = {r["name"]: r for r in json.loads(GOLDEN.read_text(encoding="utf-8"))} \
-        if GOLDEN.exists() else {}
+    old = {}
+    if GOLDEN.exists():
+        old = {r["name"]: r for r in json.loads(GOLDEN.read_text(encoding="utf-8"))}
     new = [r if r["name"] in names else old.get(r["name"], r) for r in run_all()]
     GOLDEN.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")

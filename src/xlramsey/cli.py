@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import zlib
+from itertools import islice
 from typing import Optional
 
 from .colorings import (
@@ -167,11 +168,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_color(args) -> int:
     coloring = _coloring(args)
     universe = parse_universe(args.universe)
-    rows = []
-    for i, s in enumerate(enumerate_exactly_large(universe)):
-        if args.limit is not None and i >= args.limit:
-            break
-        rows.append([s.render(), coloring(s)])
+    sets = enumerate_exactly_large(universe)
+    if args.limit is not None:
+        sets = islice(sets, max(args.limit, 0))
+    # Rows are made as they are written, as enumerate's are.
+    rows = ([s.render(), coloring(s)] for s in sets)
     if args.out:
         _write_csv(args.out, ["set", "color"], rows)
     else:

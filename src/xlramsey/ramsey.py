@@ -363,12 +363,17 @@ class PathResult(NamedTuple):
 def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
                   budget: SearchBudget = DEFAULT_BUDGET) -> PathResult:
     """The lexicographically least length-`length` branch of the tree,
-    found by first-child depth-first search.
+    found by one first-child depth-first search that expands each node
+    at most once.
 
-    On a finite universe this is the exact leftmost maximal branch
-    (truncated to the requested length).  The stability flag is true
-    when the requested length was reached and no abandoned subtree was
-    cut short by the candidate budget rather than by the universe.
+    The search's first descent follows the first child down from the
+    root, to `length` or to the first node with no children.  The node
+    budget does not cut it (the universe bounds it), but cuts every node
+    off it.  When no branch reaches `length`, the first descent's end,
+    the longest leftmost prefix, is returned unstable; so the result is
+    never longer than asked for.  The stability flag is true when the
+    requested length was reached and no abandoned subtree was cut short
+    by the candidate budget rather than by the universe.
 
     Each child is expanded with its carried class (``er_children``'s
     ``classes``), so a node colors only the tuples that end in its last
@@ -378,16 +383,15 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
         raise ValueError("length must be at least 1")
     truncated = False
     expanded = 0
-    best = None
+    end = None  # the last node of the first descent, once it has ended
     # A loop, not a recursive closure: a closure that calls itself is a
     # reference cycle, which would keep c and its memo alive after return.
     stack = [((), universe.elems)]  # (node, survivors) to visit, next on top
     while stack:
         node, survivors = stack.pop()
         if len(node) == length:
-            best = node
-            break
-        if expanded >= budget.max_candidates:
+            return PathResult(FinSet(node), not truncated, expanded)
+        if end is not None and expanded >= budget.max_candidates:
             # Global node budget: give up on this region rather than
             # exploring an adversarial tree forever.
             truncated = True
@@ -396,20 +400,10 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
         expanded += 1
         if not ch.complete:
             truncated = True
+        if end is None and not ch.values:
+            end = node
         stack += [(node + (j,), below) for j, below in zip(ch.values, ch.classes)][::-1]
-    if best is None:
-        # No branch of full length: report the longest leftmost prefix.
-        node = ()
-        survivors = universe.elems
-        while True:
-            ch = er_children(node, c, universe, budget, survivors)
-            expanded += 1
-            if not ch.values:
-                break
-            node = node + (ch.values[0],)
-            survivors = ch.classes[0]
-        return PathResult(FinSet(node), False, expanded)
-    return PathResult(FinSet(best), not truncated, expanded)
+    return PathResult(FinSet(end), False, expanded)
 
 
 class _Restricted:
@@ -541,7 +535,7 @@ def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
         a - 1, _Restricted(c, path), FinSet(path[:-1]), target, budget
     )
     chosen = _greedy_extend(c, inner.set, inner.color, FinSet(elems), target)
-    recheck = inner.color is not None and inner.budget_used.get("homogeneous_recheck", True)
+    recheck = inner.color is not None
     stats = {
         "arity": a, "target": target, "achieved": len(chosen),
         "path_len": len(path), "path_stable": pr.stable,

@@ -48,18 +48,21 @@ def leftmost_path(c, universe, length, budget=DEFAULT_BUDGET):
         raise ValueError("length must be at least 1")
     truncated = False
     expanded = 0
+    end = None  # the node that ends the first descent
 
     def extend(node, survivors):
-        nonlocal truncated, expanded
+        nonlocal truncated, expanded, end
         if len(node) == length:
             return node
-        if expanded >= budget.max_candidates:
+        if end is not None and expanded >= budget.max_candidates:
             truncated = True
             return None
         ch = er_children(node, c, universe, budget, survivors)
         expanded += 1
         if not ch.complete:
             truncated = True
+        if end is None and not ch.values:
+            end = node
         for j, below in zip(ch.values, ch.classes):
             found = extend(node + (j,), below)
             if found is not None:
@@ -68,16 +71,7 @@ def leftmost_path(c, universe, length, budget=DEFAULT_BUDGET):
 
     best = extend((), universe.elems)
     if best is None:
-        node = ()
-        survivors = universe.elems
-        while True:
-            ch = er_children(node, c, universe, budget, survivors)
-            expanded += 1
-            if not ch.values:
-                break
-            node = node + (ch.values[0],)
-            survivors = ch.classes[0]
-        return PathResult(FinSet(node), False, expanded)
+        return PathResult(FinSet(end), False, expanded)
     return PathResult(FinSet(best), not truncated, expanded)
 
 

@@ -23,6 +23,7 @@ from xlramsey.cli import (
     parse_universe,
     run_experiment,
 )
+from xlramsey.colorings import ExactColoring
 from xlramsey.largesets import FinSet
 from xlramsey.machines import EMPTY
 
@@ -79,6 +80,37 @@ def test_color_trace(tmp_path):
     rows = read_csv(out)
     assert rows[0] == ["set", "color"]
     assert rows[1] == ["{2,3,4}", "0"]
+
+
+def test_color_rows_reach_the_writer_lazily(monkeypatch):
+    # When the writer has taken k rows, exactly k sets have been colored.
+    colored, taken = [], []
+
+    def counting_coloring(*args):
+        return ExactColoring(lambda s: colored.append(s) or 0)
+
+    def checking_write(path, header, rows):
+        for row in rows:
+            taken.append(row)
+            assert len(colored) == len(taken)
+
+    monkeypatch.setattr(cli, "parse_coloring", counting_coloring)
+    monkeypatch.setattr(cli, "_write_csv", checking_write)
+    argv = ["color", "--coloring", "x", "--universe", "interval:2..10", "--out", "t.csv"]
+    assert run_experiment(argv) == OK
+    assert len(taken) == len(colored) == 79
+    del taken[:], colored[:]
+    assert run_experiment(argv + ["--limit", "5"]) == OK
+    assert len(taken) == len(colored) == 5
+
+
+@pytest.mark.parametrize("limit, lines", [("3", 3), ("0", 0), ("-2", 0)])
+def test_color_limit(capsys, limit, lines):
+    argv = ["color", "--coloring", "parity-of-min", "--universe", "interval:2..8",
+            "--limit", limit]
+    assert run_experiment(argv) == OK
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["{2,3,4},0", "{2,3,5},0", "{2,3,6},0"][:lines]
 
 
 def test_search_chain_and_reverify(tmp_path):

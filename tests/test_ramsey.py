@@ -213,21 +213,26 @@ def reference_er_children(node, c, universe, budget=DEFAULT_BUDGET):
 
 
 def reference_leftmost_path(c, universe, length, budget=DEFAULT_BUDGET):
-    """First-child depth-first search driven by the reference step."""
+    """First-child depth-first search driven by the reference step.  The
+    node budget does not cut the first descent, and when no branch
+    reaches `length` the node that ends it is the result."""
     truncated = False
     expanded = 0
+    end = None
 
     def extend(node):
-        nonlocal truncated, expanded
+        nonlocal truncated, expanded, end
         if len(node) == length:
             return node
-        if expanded >= budget.max_candidates:
+        if end is not None and expanded >= budget.max_candidates:
             truncated = True
             return None
         values, complete = reference_er_children(node, c, universe, budget)
         expanded += 1
         if not complete:
             truncated = True
+        if end is None and not values:
+            end = node
         for j in values:
             found = extend(node + (j,))
             if found is not None:
@@ -236,14 +241,7 @@ def reference_leftmost_path(c, universe, length, budget=DEFAULT_BUDGET):
 
     best = extend(())
     if best is None:
-        node = ()
-        while True:
-            values, _ = reference_er_children(node, c, universe, budget)
-            expanded += 1
-            if not values:
-                break
-            node = node + (values[0],)
-        return PathResult(FinSet(node), False, expanded)
+        return PathResult(FinSet(end), False, expanded)
     return PathResult(FinSet(best), not truncated, expanded)
 
 
@@ -276,7 +274,35 @@ def test_er_children_matches_reference(seed, dim, palette, universe, node, budge
 def test_leftmost_path_matches_reference(seed, dim, palette, universe, length, budget):
     c = random_finite_coloring(seed, dim, palette)
     got = leftmost_path(c, universe, length, budget)
+    assert len(got.path) <= length
     assert got == reference_leftmost_path(c, universe, length, budget)
+
+
+def test_leftmost_path_is_never_longer_than_asked():
+    # The node budget cuts the search after the root, but not the first
+    # descent, which stops at the requested length.
+    c = FiniteColoring(2, lambda t: 0)
+    got = leftmost_path(c, FinSet(range(10)), 3, SearchBudget(max_candidates=1))
+    assert got == PathResult(FinSet((0, 1, 2)), False, 3)
+
+
+def test_leftmost_path_expands_no_node_twice(monkeypatch):
+    # No stage of this chain has a branch as long as its universe, so
+    # each stage's search ends by returning its first descent's end.
+    import xlramsey.ramsey as ramsey
+    from xlramsey.cli import parse_coloring
+    from xlramsey.machines import EMPTY
+
+    expanded = []
+
+    def recording(node, c, *args):
+        expanded.append((c, tuple(node)))  # keeps c alive, so its id stays its own
+        return er_children(node, c, *args)
+
+    monkeypatch.setattr(ramsey, "er_children", recording)
+    iterate_rtomega(parse_coloring("random:1", EMPTY), FinSet(range(8, 37)))
+    keys = [(id(c), node) for c, node in expanded]
+    assert len(keys) == len(set(keys)) == 76
 
 
 def test_er_children_empty_node():

@@ -70,7 +70,49 @@ def _chain(spec, m):
                   "--out-witness", f"{name}.json"]
 
 
-COMMANDS = README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)]
+# The smoke-size operations of the four perfbench workloads at seed 1,
+# written out: search-exhaustive draws random:2 and random:1.
+_GRID = [arg for i in (1, 2, 3) for j in range(8) for arg in ("--query", f"{i},{j}")]
+BENCH = [
+    ("bench-constant-search", ["search", "--mode", "chain", "--coloring", "parity-of-min",
+                               "--universe", "interval:2..16", "--out-witness", "w.json"]),
+    ("bench-constant-verify", ["verify", "--witness", "w.json", "--coloring", "parity-of-min"]),
+    ("bench-dh-search", ["search", "--mode", "chain", "--coloring", "dh", "--oracle", "empty",
+                         "--universe", "evens:2..24", "--out-witness", "w.json"]),
+    ("bench-dh-verify", ["verify", "--witness", "w.json", "--coloring", "dh",
+                         "--oracle", "empty"]),
+    ("bench-comega-search", ["search", "--mode", "chain", "--coloring", "comega",
+                             "--universe", "interval:2..14", "--out-witness", "w.json"]),
+    ("bench-comega-verify", ["verify", "--witness", "w.json", "--coloring", "comega"]),
+    ("bench-comega-decode", ["decode", "--witness", "w.json", "--truth-cutoff", "1000000",
+                             "--out", "verdicts.csv", *_GRID]),
+    ("bench-exhaustive-homogeneous-2", ["search", "--mode", "homogeneous",
+                                        "--coloring", "random:2", "--universe", "interval:3..16",
+                                        "--k", "6", "--out-witness", "h2.json"]),
+    ("bench-exhaustive-verify-h2", ["verify", "--witness", "h2.json", "--coloring", "random:2"]),
+    ("bench-exhaustive-min-homogeneous-2", ["search", "--mode", "min-homogeneous",
+                                            "--coloring", "random:2",
+                                            "--universe", "interval:3..16", "--k", "6",
+                                            "--out-witness", "m2.json"]),
+    ("bench-exhaustive-verify-m2", ["verify", "--witness", "m2.json", "--coloring", "random:2"]),
+    ("bench-exhaustive-reduce-2", ["reduce", "--direction", "rt-via-km", "--coloring", "random:2",
+                                   "--witness", "m2.json", "--out-witness", "r2.json"]),
+    ("bench-exhaustive-verify-r2", ["verify", "--witness", "r2.json", "--coloring", "random:2"]),
+    ("bench-exhaustive-homogeneous-1", ["search", "--mode", "homogeneous",
+                                        "--coloring", "random:1", "--universe", "interval:3..16",
+                                        "--k", "6", "--out-witness", "h1.json"]),
+    ("bench-exhaustive-verify-h1", ["verify", "--witness", "h1.json", "--coloring", "random:1"]),
+    ("bench-exhaustive-min-homogeneous-1", ["search", "--mode", "min-homogeneous",
+                                            "--coloring", "random:1",
+                                            "--universe", "interval:3..16", "--k", "6",
+                                            "--out-witness", "m1.json"]),
+    ("bench-exhaustive-verify-m1", ["verify", "--witness", "m1.json", "--coloring", "random:1"]),
+    ("bench-exhaustive-reduce-1", ["reduce", "--direction", "rt-via-km", "--coloring", "random:1",
+                                   "--witness", "m1.json", "--out-witness", "r1.json"]),
+    ("bench-exhaustive-verify-r1", ["verify", "--witness", "r1.json", "--coloring", "random:1"]),
+]
+
+COMMANDS = README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
 
 
 def _digests(root):

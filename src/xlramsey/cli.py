@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import zlib
+from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
@@ -171,8 +172,10 @@ def _cmd_color(args) -> int:
     sets = enumerate_exactly_large(universe)
     if args.limit is not None:
         sets = islice(sets, max(args.limit, 0))
-    # Rows are made as they are written, as enumerate's are.
-    rows = ([s.render(), coloring(s)] for s in sets)
+    # Rows are made as they are written, as enumerate's are.  Each set
+    # is read once, so its color is evaluated and not stored.
+    evaluate = coloring.evaluate
+    rows = ([s.render(), evaluate(s.elems)] for s in sets)
     if args.out:
         _write_csv(args.out, ["set", "color"], rows)
     else:
@@ -467,6 +470,13 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser(verb: Optional[str]) -> argparse.ArgumentParser:
+    # One parser per verb (None for anything else) for the process's
+    # life: at most seven.  A parse leaves no state in the parser.
+    return build_parser(verb)
+
+
 def _apply_config(args: argparse.Namespace, options: dict) -> None:
     """Fill options not given on the command line from the config file's
     [experiment] section, typed as the verb table types them.  An append
@@ -500,11 +510,11 @@ def _apply_config(args: argparse.Namespace, options: dict) -> None:
 
 def run_experiment(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # A fresh parser per call, for the invoked verb only.  Its one parse
-    # sets the options given on the command line, in any form argparse
-    # accepts (abbreviated, --opt=value).  Config files and recorded
-    # witness configs only fill in the rest, then the defaults.
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # The parser of the invoked verb only.  Its one parse sets the
+    # options given on the command line, in any form argparse accepts
+    # (abbreviated, --opt=value).  Config files and recorded witness
+    # configs only fill in the rest, then the defaults.
+    args = _parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
     _, fn, required, _ = _VERBS[args.command]
     options = _options(args.command)
     args.given = set(vars(args)) & options.keys()

@@ -101,10 +101,7 @@ class _FiniteMemo(_TupleRows, dict):
 
 class _ExactMemo(_TupleRows, dict):
     """An ExactColoring's memo, keyed by the tuple after the prefix.
-    Reading a missing tuple validates it by building the exactly large
-    set of prefix and tuple, checks that a stage's universe holds it,
-    evaluates, runs the coloring's check if it has one, checks the
-    palette and stores."""
+    Reading a missing tuple evaluates it (``evaluate``) and stores."""
 
     __slots__ = ("fn", "prefix", "palette", "check", "universe")
 
@@ -113,14 +110,21 @@ class _ExactMemo(_TupleRows, dict):
         self.fn, self.prefix, self.palette, self.check = fn, prefix, palette, check
         self.universe = universe
 
-    def __missing__(self, t: tuple) -> int:
+    def evaluate(self, t: tuple) -> int:
+        """The color of t, not stored: validates t by building the exactly
+        large set of prefix and tuple, checks that a stage's universe
+        holds it, evaluates, runs the coloring's check if it has one and
+        checks the palette."""
         s = ExactlyLargeSet(self.prefix + t)
         if self.universe is not None and not self.universe.issuperset(t):
             raise _outside(t, self.universe)
         v = self.fn(s)
         if self.check:
             self.check(s, v)
-        self[t] = v = _color(v, self.palette)
+        return _color(v, self.palette)
+
+    def __missing__(self, t: tuple) -> int:
+        self[t] = v = self.evaluate(t)
         return v
 
 
@@ -341,6 +345,9 @@ class ExactColoring(_Memoized):
     """A deterministic coloring of exactly large sets."""
 
     _prefix = property(lambda self: self._memo.prefix)
+    # evaluate(t) is a miss of this coloring's own memo without the store,
+    # for a tuple read once; a stage with a table has none.
+    evaluate = property(lambda self: self._memo.evaluate)
     # A check of each evaluated color, or None; RegressiveColoring has one.
     _check = None
 
@@ -450,16 +457,23 @@ def cn_from(prev: FiniteColoring, A: OracleSet,
     every index up to the first entry is query-free, the check cannot
     see the approximation, so it is c2's (memoized) color of the first
     three entries.  Without ``c2`` the check always runs.
+
+    The function reads the levels below through their memos, bound when
+    the level is built.  Under ``comega_coloring`` the caller's memo
+    holds the top level and the tower only the levels below.
     """
-    dim = prev.dimension + 1
+    dim, below = prev.dimension + 1, prev._memo.__getitem__
+    # c2's memo alone reads tpl[:3]: tpl's entries passed its caller's checks.
+    shortcut = None if c2 is None else c2._memo.__getitem__
+    querying = _least_querying_index()
 
     def fn(tpl):
-        colors = prev.colors(combinations(tpl, prev.dimension))
+        colors = map(below, combinations(tpl, dim - 1))
         first = next(colors)
         if any(map(ne, colors, repeat(first))):
             return 0
-        if c2 is not None and tpl[0] < _least_querying_index():
-            return c2.read(tpl[:3])  # tpl's entries passed its own miss
+        if shortcut is not None and tpl[0] < querying:
+            return shortcut(tpl[:3])
         # The approximating oracle runs the decoder one level below the
         # coloring being built, on the tail tuple.
         y = _ApproxJumpOracle(prev.dimension - 1, tpl[1:], A)
@@ -496,12 +510,19 @@ def comega_coloring(A: OracleSet) -> ExactColoring:
     """Dispatch an exactly large set with minimum m >= 2 to the level-m
     coloring on its full tuple; minimum below 2 colors 0.  All minima
     share one ``cn_tower``, so a level and its memo are built once per
-    coloring and every higher level reuses them."""
+    coloring and every higher level reuses them.
+
+    Each set is stored once: the caller's memo (this coloring's or a
+    stage's) holds the top level and the tower only the levels below.
+    The dispatch runs level m's function without level m's memo, which
+    no other read would hit: a higher level reads level m only on
+    tuples whose entries all lie above m."""
     level = cn_tower(A)
 
     def fn(s: ExactlyLargeSet) -> int:
         m = s.min()
-        return level(m).read(s.elems) if m >= 2 else 0  # s is validated
+        # s is validated and the caller's miss checks the palette.
+        return level(m)._memo.fn(s.elems) if m >= 2 else 0
 
     return ExactColoring(fn, palette=2, name="comega")
 

@@ -104,6 +104,21 @@ def test_color_rows_reach_the_writer_lazily(monkeypatch):
     assert len(taken) == len(colored) == 5
 
 
+def test_color_stores_no_color(monkeypatch, capsys):
+    # Each set is read once, so the coloring's memo stays empty.
+    built = []
+
+    def keeping(*args):
+        built.append(parse_coloring(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "parse_coloring", keeping)
+    argv = ["color", "--coloring", "parity-of-min", "--universe", "interval:2..8"]
+    assert run_experiment(argv) == OK
+    assert capsys.readouterr().out.splitlines()[:2] == ["{2,3,4},0", "{2,3,5},0"]
+    assert len(built) == 1 and built[0]._memo == {}
+
+
 @pytest.mark.parametrize("limit, lines", [("3", 3), ("0", 0), ("-2", 0)])
 def test_color_limit(capsys, limit, lines):
     argv = ["color", "--coloring", "parity-of-min", "--universe", "interval:2..8",
@@ -507,6 +522,26 @@ def test_verify_reads_the_witness_file_once(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the parser of one verb
+
+def test_decode_queries_do_not_leak_between_runs(tmp_path):
+    # The runs in one process share one decode parser; each CSV holds
+    # only the queries of its own run, in its order.
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({
+        "schema": "xlramsey.witness/1", "kind": "homogeneous",
+        "set": [2, 7000, 7500, 8000], "color": 1, "per_min": None,
+        "verified": True, "budget": {},
+    }))
+    hits = cli._parser.cache_info().hits
+    for name, queries in (("a.csv", ["1,1", "1,0"]), ("b.csv", ["1,0"]), ("c.csv", ["1,1"])):
+        out = tmp_path / name
+        argv = ["decode", "--witness", str(w), "--oracle", "{0,5}", "--out", str(out)]
+        for q in queries:
+            argv += ["--query", q]
+        assert run_experiment(argv) == OK
+        assert [",".join(r[:2]) for r in read_csv(out)[1:]] == queries
+    assert cli._parser.cache_info().hits >= hits + 2
+
 
 VERBS = ("enumerate", "color", "search", "verify", "decode", "reduce")
 

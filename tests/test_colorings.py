@@ -1007,6 +1007,41 @@ def test_comega_evaluates_shared_lower_levels_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 13
 
 
+def test_comega_stores_a_stage_tuple_once(monkeypatch):
+    # The stage table holds each set's color; the tower keeps only the
+    # levels below, so none of the stage tuples.
+    tuples = list(combinations(range(5, 14), 4))
+    c4, towers = cn_coloring(4, EMPTY), []
+    want = [c4((4,) + t) for t in tuples]
+    real = colorings.cn_tower
+    monkeypatch.setattr(colorings, "cn_tower", lambda A: towers.append(real(A)) or towers[-1])
+    stage = comega_coloring(EMPTY).at_min(4, FinSet(range(5, 14)))
+    assert list(stage.colors(tuples)) == want
+    level, = towers
+    assert level(2)._memo and level(3)._memo and not level(4)._memo
+    assert not {(4,) + t for t in tuples} & {t for n in (2, 3, 4) for t in level(n)._memo}
+
+
+comega_reads = st.tuples(st.integers(2, 5), st.integers(1, 44),
+                         st.lists(st.integers(1, 9), min_size=5, max_size=5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=oracles_st, read=comega_reads)
+def test_comega_color_is_the_level_color(A, read):
+    # Entries past 46 make the checks below the top run querying programs.
+    clear_caches()
+    m, lift, gaps = read
+    elems = (m,) + tuple(accumulate([46 + lift] + gaps[:m - 1]))
+    want = cn_coloring(m, A)(elems)
+    called = comega_coloring(A)
+    assert called(FinSet(elems)) == called(FinSet(elems)) == want
+    assert list(comega_coloring(A).colors([elems])) == [want]
+    stage = comega_coloring(A).at_min(m, FinSet(elems[1:]))
+    assert stage.row(_Subsets(elems[1:-1], m - 1))(elems[-1:]) == bytes([want])
+    assert stage(elems[1:]) == want
+
+
 # ---------------------------------------------------------------------------
 # disagreement-hardness colorings
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import zlib
-from functools import lru_cache
 from itertools import islice
 from typing import Optional
 
@@ -470,13 +469,6 @@ def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser(verb: Optional[str]) -> argparse.ArgumentParser:
-    # One parser per verb (None for anything else) for the process's
-    # life: at most seven.  A parse leaves no state in the parser.
-    return build_parser(verb)
-
-
 def _apply_config(args: argparse.Namespace, options: dict) -> None:
     """Fill options not given on the command line from the config file's
     [experiment] section, typed as the verb table types them.  An append
@@ -510,11 +502,11 @@ def _apply_config(args: argparse.Namespace, options: dict) -> None:
 
 def run_experiment(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # The parser of the invoked verb only.  Its one parse sets the
-    # options given on the command line, in any form argparse accepts
-    # (abbreviated, --opt=value).  Config files and recorded witness
-    # configs only fill in the rest, then the defaults.
-    args = _parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
+    # A fresh parser per call, for the invoked verb only.  Its one parse
+    # sets the options given on the command line, in any form argparse
+    # accepts (abbreviated, --opt=value).  Config files and recorded
+    # witness configs only fill in the rest, then the defaults.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     _, fn, required, _ = _VERBS[args.command]
     options = _options(args.command)
     args.given = set(vars(args)) & options.keys()

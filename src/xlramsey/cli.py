@@ -64,6 +64,11 @@ def _parse_set(flag: str, spec: str) -> FinSet:
         raise ConfigError(f"--{flag} {spec!r}: {exc}") from None
 
 
+# The most elements an interval: or evens: universe spec may name.  A
+# universe is built whole, so a larger spec is refused before it is built.
+MAX_UNIVERSE_ELEMENTS = 1 << 20
+
+
 def parse_universe(spec: str) -> FinSet:
     s = spec.strip()
     if s.startswith(("{", "explicit:")):
@@ -75,11 +80,15 @@ def parse_universe(spec: str) -> FinSet:
     except ValueError:
         raise ConfigError(f"malformed universe: {spec!r}")
     if kind == "interval":
-        return FinSet(range(lo, hi + 1))
-    if kind == "evens":
-        start = lo if lo % 2 == 0 else lo + 1
-        return FinSet(range(start, hi + 1, 2))
-    raise ConfigError(f"unknown universe kind: {kind!r}")
+        elems = range(lo, hi + 1)
+    elif kind == "evens":
+        elems = range(lo + lo % 2, hi + 1, 2)
+    else:
+        raise ConfigError(f"unknown universe kind: {kind!r}")
+    if len(elems) > MAX_UNIVERSE_ELEMENTS:
+        raise ConfigError(f"--universe {spec!r}: {len(elems)} elements, above the limit of "
+                          f"{MAX_UNIVERSE_ELEMENTS}")
+    return FinSet(elems)
 
 
 def parse_oracle(spec: Optional[str]):
@@ -214,11 +223,13 @@ def _reject_unread(args, *dests) -> None:
 def _cmd_search(args) -> int:
     coloring = _coloring(args)
     universe = parse_universe(args.universe)
-    budget = SearchBudget(
-        max_universe=args.max_universe, max_candidates=args.max_candidates
-    )
     if args.mode == "chain":
         _reject_unread(args, "k")
+        for flag, bound in (("max-universe", args.max_universe),
+                            ("max-candidates", args.max_candidates)):
+            if bound <= 0:
+                raise ConfigError(f"--{flag} must be positive, got {bound}")
+        budget = SearchBudget(args.max_universe, args.max_candidates)
         start = None
         if args.start not in (None, "min"):
             try:

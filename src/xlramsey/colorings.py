@@ -1,14 +1,15 @@
 """Colorings of exactly large sets and fixed-arity tuples.
 
-Every coloring here is a pure total function behind one of two small
-wrappers: FiniteColoring for a fixed arity, ExactColoring for exactly
-large sets.  Both memoize evaluations (purity makes that invisible) and
-both may be shared freely between threads once built.
+Every coloring here is a pure total function that is its own memo:
+the colors it has evaluated, keyed by tuple (a dict) or by rank (a
+stage table), a missing one evaluated and stored on its first read.
+Purity makes the memo invisible, and a coloring may be shared freely
+between threads once built.  Its truth value, length and equality are
+its memo's, so no code reads them.
 """
 
 from __future__ import annotations
 
-import copy
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, islice, repeat
@@ -27,11 +28,11 @@ from .machines import (
 
 
 # The stored byte of a stage tuple not evaluated yet; a stage whose
-# palette reaches it keeps the tuple memo.
+# palette reaches it is an ExactColoring keyed by tuple.
 _UNREAD = 255
 # The largest stage table, in bytes: 16 MiB, about the process's own
 # footprint after import.  A stage table is allocated whole when the
-# stage is built; a larger stage keeps the tuple memo, whose size
+# stage is built; a larger stage is keyed by tuple, and its size
 # follows the tuples read, not all the tuples of the stage.
 MAX_STAGE_TABLE = 1 << 24
 
@@ -54,13 +55,31 @@ def _color(v, palette: Optional[int]) -> int:
     return v
 
 
-class _TupleRows:
-    """Row reads of a memo keyed by tuple: each key is a head followed by
-    the read's end, read through the memo's own ``__getitem__``."""
+class _Reads:
+    """The stream and row reads of a coloring: each tuple read is
+    ``self[t]``, which runs the validated miss on a miss."""
 
     __slots__ = ()
 
+    def colors(self, tuples):
+        """The colors of ``tuples``, lazily and in order: one memo read
+        each, so a stream stopped early has stored what the same calls
+        in the same order would."""
+        return map(self.__getitem__, tuples)
+
     def row(self, heads):
+        """A reader of rows: ``read(end)`` is the colors of h + end for the
+        heads h in order, as one hashable sequence, every miss evaluated
+        in order; ``read(end, color)`` is whether all of them have
+        ``color``, read up to the first that has not.  Each read evaluates
+        the same tuples in the same order as one call per tuple, and a
+        malformed tuple fails as its call does.  The heads are increasing
+        tuples of one length; the end fills the slots after them and lies
+        above each of them.  A stage table reads a ``_Subsets`` by rank,
+        validated once per row and once per read, and iterates it again
+        from a read's first miss; other heads, and a row or read that
+        fails the check, are read here, one tuple at a time through the
+        validating tuple read."""
         get = self.__getitem__
 
         def read(end, color=None):
@@ -68,64 +87,6 @@ class _TupleRows:
             return tuple(colors) if color is None else all(map(eq, colors, repeat(color)))
 
         return read
-
-
-class _FiniteMemo(_TupleRows, dict):
-    """A FiniteColoring's memo.  Reading a missing tuple runs the whole
-    validated miss: the length check, one pass over the entries that
-    checks each is a plain int (not a bool) above the one before it,
-    the evaluation, the palette check and the store.  Holds no reference
-    to its coloring, so a coloring is freed without a cycle collection."""
-
-    __slots__ = ("fn", "dimension", "palette")
-
-    def __init__(self, fn, dimension: int, palette: int):
-        self.fn, self.dimension, self.palette = fn, dimension, palette
-
-    def __missing__(self, t: tuple) -> int:
-        if len(t) != self.dimension:
-            raise ValueError(f"expected {self.dimension}-tuple, got {t}")
-        prev = None
-        for x in t:
-            if type(x) is not int:
-                raise ValueError(f"not a natural number: {x!r}")
-            if prev is not None and x <= prev:
-                raise ValueError(f"tuple must increase: {t}")
-            prev = x
-        v = self.fn(t)
-        if type(v) is not int or not 0 <= v < self.palette:
-            v = _color(v, self.palette)
-        self[t] = v
-        return v
-
-
-class _ExactMemo(_TupleRows, dict):
-    """An ExactColoring's memo, keyed by the tuple after the prefix.
-    Reading a missing tuple evaluates it (``evaluate``) and stores."""
-
-    __slots__ = ("fn", "prefix", "palette", "check", "universe")
-
-    def __init__(self, fn, prefix: tuple, palette: Optional[int], check,
-                 universe: Optional[frozenset] = None):
-        self.fn, self.prefix, self.palette, self.check = fn, prefix, palette, check
-        self.universe = universe
-
-    def evaluate(self, t: tuple) -> int:
-        """The color of t, not stored: validates t by building the exactly
-        large set of prefix and tuple, checks that a stage's universe
-        holds it, evaluates, runs the coloring's check if it has one and
-        checks the palette."""
-        s = ExactlyLargeSet(self.prefix + t)
-        if self.universe is not None and not self.universe.issuperset(t):
-            raise _outside(t, self.universe)
-        v = self.fn(s)
-        if self.check:
-            self.check(s, v)
-        return _color(v, self.palette)
-
-    def __missing__(self, t: tuple) -> int:
-        self[t] = v = self.evaluate(t)
-        return v
 
 
 class _Subsets:
@@ -147,24 +108,25 @@ class _Subsets:
         return map(add, subsets, repeat(self.tail)) if self.tail else subsets
 
 
-class _StageTable:
-    """A stage coloring's colors in a table of one byte per stage tuple,
-    allocated when the stage is built and indexed by the colex rank of a
-    tuple's positions in the stage universe (Knuth, TAOCP 4A, 7.2.1.3):
-    the tuple at positions p1 < ... < pa has rank C(p1, 1) + ... +
-    C(pa, a).  A rank is a sum of per-slot terms, so a row of tuples that
-    share a suffix is read as the heads' ranks plus the suffix's rank.
-    An unread rank reads ``_UNREAD``; its miss builds the tuple's exactly
-    large set, evaluates, runs the check if there is one, checks the
-    palette and stores.  A row's miss builds the set unchecked, since
-    its row and read were validated whole (``row``).  Holds no
-    reference to its coloring."""
+class _StageTable(_Reads):
+    """A stage coloring (``ExactColoring.at_min``) with its colors in a
+    table of one byte per stage tuple, allocated when the stage is built
+    and indexed by the colex rank of a tuple's positions in the stage
+    universe (Knuth, TAOCP 4A, 7.2.1.3): the tuple at positions p1 < ...
+    < pa has rank C(p1, 1) + ... + C(pa, a).  A rank is a sum of per-slot
+    terms, so a row of tuples that share a suffix is read as the heads'
+    ranks plus the suffix's rank.  An unread rank reads ``_UNREAD``; its
+    miss builds the tuple's exactly large set, evaluates, runs the check
+    if there is one, checks the palette and stores.  A row's miss builds
+    the set unchecked, since its row and read were validated whole
+    (``row``).  Holds no reference to the coloring it was built from."""
 
-    __slots__ = ("fn", "prefix", "palette", "check", "universe", "slots", "store")
+    __slots__ = ("_fn", "prefix", "palette", "_check", "universe", "dimension", "name",
+                 "slots", "store", "__weakref__")
 
-    def __init__(self, fn, a: int, universe: tuple, palette: int, check):
-        self.fn, self.prefix, self.palette, self.check = fn, (a,), palette, check
-        self.universe = universe
+    def __init__(self, fn, a: int, universe: tuple, palette: int, check, name: str):
+        self._fn, self.prefix, self.palette, self._check = fn, (a,), palette, check
+        self.universe, self.dimension, self.name = universe, a, name
         # slots[k][x]: the rank term of universe element x at slot k + 1
         self.slots = [dict(zip(universe, map(comb, range(len(universe)), repeat(k))))
                       for k in range(1, a + 1)]
@@ -172,13 +134,17 @@ class _StageTable:
 
     def _miss(self, t: tuple, r: int) -> int:
         s = ExactlyLargeSet(self.prefix + t)
-        v = self.fn(s)
-        if self.check:
-            self.check(s, v)
+        v = self._fn(s)
+        if self._check:
+            self._check(s, v)
         if type(v) is not int or not 0 <= v < self.palette:
             v = _color(v, self.palette)
         self.store[r] = v
         return v
+
+    def __call__(self, s) -> int:
+        # a FinSet or any iterable reads as its tuple, validated by the read
+        return self[s if type(s) is tuple else s.elems if isinstance(s, FinSet) else tuple(s)]
 
     def __getitem__(self, t: tuple) -> int:
         # Only a plain increasing a-tuple of universe elements has a
@@ -234,7 +200,7 @@ class _StageTable:
             except (ValueError, KeyError, TypeError):
                 pass
         if ranks is None:
-            return _TupleRows.row(self, heads)
+            return _Reads.row(self, heads)
         rest = self.slots[heads.k + len(heads.tail):]
         store, prefix = self.store, self.prefix
 
@@ -248,7 +214,7 @@ class _StageTable:
             except (ValueError, KeyError, TypeError):
                 r = None
             if r is None or len(end) != len(rest):
-                return _TupleRows.row(self, heads)(end, color)
+                return _Reads.row(self, heads)(end, color)
             colors = bytes(map(store.__getitem__, map(r.__add__, ranks)))
             first = colors.find(_UNREAD)
             if first < 0:
@@ -259,7 +225,7 @@ class _StageTable:
             # walked from there.  Each set is exactly large: the prefix
             # (a,) lies below the universe and the a slots are filled.
             out = bytearray(colors)
-            fn, check, palette = self.fn, self.check, self.palette
+            fn, check, palette = self._fn, self._check, self.palette
             of_valid = ExactlyLargeSet._of_valid
             for i, h in enumerate(islice(heads, first, None), first):
                 v = out[i]
@@ -282,50 +248,34 @@ class _StageTable:
         return read
 
 
-class _Memoized:
-    """The read paths of both coloring wrappers.  A tuple read, a call's
-    or a stream's, is ``memo[t]``; a row read (``row``) takes its keys
-    from the memo too.  On a miss the memo runs the validated miss.
-    ``_fn`` lives on the memo, so assigning it reaches the misses."""
-
-    _fn = property(lambda self: self._memo.fn,
-                   lambda self, fn: setattr(self._memo, "fn", fn))
-    # read(t) is one tuple's read as in ``colors``; a call also checks a hit's entries.
-    read = property(lambda self: self._memo.__getitem__)
-
-    def colors(self, tuples):
-        """The colors of ``tuples``, lazily and in order: one memo read
-        each, so a stream stopped early has stored what the same calls
-        in the same order would."""
-        return map(self._memo.__getitem__, tuples)
-
-    def row(self, heads):
-        """A reader of rows: ``read(end)`` is the colors of h + end for the
-        heads h in order, as one hashable sequence, every miss evaluated
-        in order; ``read(end, color)`` is whether all of them have
-        ``color``, read up to the first that has not.  Each read evaluates
-        the same tuples in the same order as one call per tuple, and a
-        malformed tuple fails as its call does.  The heads are increasing
-        tuples of one length; the end fills the slots after them and lies
-        above each of them.  A stage table reads a ``_Subsets`` by rank,
-        validated once per row and once per read, and iterates it again
-        from a read's first miss; other heads, and a row or read that
-        fails the check, are read one tuple at a time through the
-        validating tuple read."""
-        return self._memo.row(heads)
-
-
-class FiniteColoring(_Memoized):
-    """A deterministic coloring of strictly increasing fixed-size tuples."""
+class FiniteColoring(_Reads, dict):
+    """A deterministic coloring of strictly increasing fixed-size tuples,
+    and its own memo.  Reading a missing tuple runs the whole validated
+    miss: the length check, one pass over the entries that checks each
+    is a plain int (not a bool) above the one before it, the evaluation,
+    the palette check and the store."""
 
     def __init__(self, dimension: int, fn: Callable[[tuple], int],
                  palette: int = 2, name: str = ""):
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        self.dimension = dimension
-        self.palette = palette
-        self.name = name
-        self._memo = _FiniteMemo(fn, dimension, palette)
+        self.dimension, self._fn, self.palette, self.name = dimension, fn, palette, name
+
+    def __missing__(self, t: tuple) -> int:
+        if len(t) != self.dimension:
+            raise ValueError(f"expected {self.dimension}-tuple, got {t}")
+        prev = None
+        for x in t:
+            if type(x) is not int:
+                raise ValueError(f"not a natural number: {x!r}")
+            if prev is not None and x <= prev:
+                raise ValueError(f"tuple must increase: {t}")
+            prev = x
+        v = self._fn(t)
+        if type(v) is not int or not 0 <= v < self.palette:
+            v = _color(v, self.palette)
+        self[t] = v
+        return v
 
     def __call__(self, tpl) -> int:
         # Entries are checked before the memo is read, as an ExactColoring
@@ -334,30 +284,45 @@ class FiniteColoring(_Memoized):
         t = tuple(tpl)
         for x in t:
             if type(x) is not int:
-                self._memo.__missing__(t)
-        return self._memo[t]
+                self.__missing__(t)
+        return self[t]
 
     def __repr__(self) -> str:
         return f"FiniteColoring(dim={self.dimension}, name={self.name!r})"
 
 
-class ExactColoring(_Memoized):
-    """A deterministic coloring of exactly large sets."""
+class ExactColoring(_Reads, dict):
+    """A deterministic coloring of exactly large sets, and its own memo,
+    keyed by the tuple after ``prefix``.  Reading a missing tuple
+    evaluates it (``evaluate``) and stores."""
 
-    _prefix = property(lambda self: self._memo.prefix)
-    # evaluate(t) is a miss of this coloring's own memo without the store,
-    # for a tuple read once; a stage with a table has none.
-    evaluate = property(lambda self: self._memo.evaluate)
+    # a stage keyed by tuple (``at_min``) has prefix (a,) and a universe
+    prefix, universe = (), None
     # A check of each evaluated color, or None; RegressiveColoring has one.
     _check = None
 
     def __init__(self, fn: Callable[[ExactlyLargeSet], int],
                  palette: Optional[int] = 2, name: str = ""):
-        self.palette = palette
-        self.name = name
-        self._memo = _ExactMemo(fn, (), palette, self._check)
+        self._fn, self.palette, self.name = fn, palette, name
 
-    def at_min(self, a: int, universe) -> "ExactColoring":
+    def evaluate(self, t: tuple) -> int:
+        """The color of t, not stored, for a tuple read once: validates t
+        by building the exactly large set of prefix and tuple, checks
+        that a stage's universe holds it, evaluates, runs the coloring's
+        check if it has one and checks the palette."""
+        s = ExactlyLargeSet(self.prefix + t)
+        if self.universe is not None and not self.universe.issuperset(t):
+            raise _outside(t, self.universe)
+        v = self._fn(s)
+        if self._check:
+            self._check(s, v)
+        return _color(v, self.palette)
+
+    def __missing__(self, t: tuple) -> int:
+        self[t] = v = self.evaluate(t)
+        return v
+
+    def at_min(self, a: int, universe):
         """The stage coloring at minimum a over ``universe`` (a FinSet or
         increasing naturals, all above a): an increasing a-tuple of
         universe elements gets the color of the exactly large set of a
@@ -367,23 +332,23 @@ class ExactColoring(_Memoized):
         its own colors, so each stage tuple is evaluated and stored
         once: by rank, in a table of one byte per stage tuple
         (``_StageTable``).  A stage with more than ``MAX_STAGE_TABLE``
-        tuples or with a palette above 255 keeps a memo keyed by the
-        tuple instead.  It has a ``dimension`` like a FiniteColoring,
-        and palette a (at least 2) when this coloring has none: a
-        regressive color at minimum a lies below a.
+        tuples or with a palette above 255 is an ExactColoring keyed by
+        the tuple instead.  Either has a ``dimension`` like a
+        FiniteColoring, and palette a (at least 2) when this coloring
+        has none: a regressive color at minimum a lies below a.
         """
-        stage = copy.copy(self)
-        stage.palette = self.palette or max(a, 2)
+        palette = self.palette or max(a, 2)
         universe = (universe if isinstance(universe, FinSet) else FinSet(universe)).elems
         if universe and universe[0] <= a:
             raise ValueError(f"a stage universe at minimum {a} must lie above {a}")
-        if comb(len(universe), a) > MAX_STAGE_TABLE or stage.palette > _UNREAD:
-            stage._memo = _ExactMemo(self._fn, (a,), stage.palette, self._check,
-                                     frozenset(universe))
-        else:
-            stage._memo = _StageTable(self._fn, a, universe, stage.palette, self._check)
-        stage.dimension = a
-        stage.name = f"{self.name}@{a}"
+        name = f"{self.name}@{a}"
+        if comb(len(universe), a) <= MAX_STAGE_TABLE and palette <= _UNREAD:
+            return _StageTable(self._fn, a, universe, palette, self._check, name)
+        # Not through __init__: the stage takes this coloring's function as
+        # it stands, with whatever has been wrapped around it.
+        stage = ExactColoring.__new__(ExactColoring)
+        vars(stage).update(_fn=self._fn, palette=palette, name=name, _check=self._check,
+                           prefix=(a,), universe=frozenset(universe), dimension=a)
         return stage
 
     def __call__(self, s) -> int:
@@ -393,9 +358,9 @@ class ExactColoring(_Memoized):
             s = s.elems if isinstance(s, FinSet) else tuple(s)
         for x in s:
             if type(x) is not int:
-                ExactlyLargeSet(self._prefix + s)
+                ExactlyLargeSet(self.prefix + s)
                 break
-        return self._memo[s]
+        return self[s]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -462,9 +427,9 @@ def cn_from(prev: FiniteColoring, A: OracleSet,
     the level is built.  Under ``comega_coloring`` the caller's memo
     holds the top level and the tower only the levels below.
     """
-    dim, below = prev.dimension + 1, prev._memo.__getitem__
+    dim, below = prev.dimension + 1, prev.__getitem__
     # c2's memo alone reads tpl[:3]: tpl's entries passed its caller's checks.
-    shortcut = None if c2 is None else c2._memo.__getitem__
+    shortcut = None if c2 is None else c2.__getitem__
     querying = _least_querying_index()
 
     def fn(tpl):

@@ -90,15 +90,15 @@ class _ApproxJumpOracle(OracleSet):
 
     def __init__(self, level: int, tpl: tuple, A: OracleSet):
         self.level, self.tpl, self.A = level, tpl, A
-        self._memo: dict[int, bool] = {}
+        self._verdicts: dict[int, bool] = {}
 
     def member(self, i: int) -> bool:
         if i > self.tpl[0]:
             return False
-        hit = self._memo.get(i)
+        hit = self._verdicts.get(i)
         if hit is None:
             hit = mn_raw(self.level, i, self.tpl, self.A)
-            self._memo[i] = hit
+            self._verdicts[i] = hit
         return hit
 
     @property

@@ -199,7 +199,7 @@ def _first_subset(elems: tuple, k: int, new_subsets, by_min: bool, c):
     n, examined = len(elems), 0
     prefix, j = [], 0
     stack = [(-1, {})]  # per prefix length: (index of its last element, colors)
-    read = c.read
+    read = c.__getitem__
     while True:
         p = len(prefix)
         if p == k:

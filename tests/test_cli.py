@@ -116,7 +116,7 @@ def test_color_stores_no_color(monkeypatch, capsys):
     argv = ["color", "--coloring", "parity-of-min", "--universe", "interval:2..8"]
     assert run_experiment(argv) == OK
     assert capsys.readouterr().out.splitlines()[:2] == ["{2,3,4},0", "{2,3,5},0"]
-    assert len(built) == 1 and built[0]._memo == {}
+    assert len(built) == 1 and len(built[0]) == 0
 
 
 @pytest.mark.parametrize("limit, lines", [("3", 3), ("0", 0), ("-2", 0)])
@@ -445,6 +445,9 @@ def test_malformed_program_text_is_a_config_error(tmp_path, capsys, block):
 @pytest.mark.parametrize("mode, flags", [
     ("homogeneous", ["--max-candidates", "1", "--max-universe", "3"]),
     ("homogeneous", ["--max-universe", "3"]),
+    # unread, so not refused as out of range
+    ("homogeneous", ["--max-candidates", "0"]),
+    ("min-homogeneous", ["--max-universe", "0"]),
     ("min-homogeneous", ["--start", "3"]),
     ("chain", ["--k", "6"]),
 ])
@@ -459,6 +462,53 @@ def test_search_flags_the_mode_never_reads_are_config_errors(tmp_path, capsys, m
     cfg.write_text(f"[experiment]\n{key} = {value}\n")
     assert run_experiment(argv + ["--config", str(cfg)]) == CONFIG_ERROR
     assert run_experiment(argv) == OK
+
+
+@pytest.mark.parametrize("flag, value", [("--max-candidates", "0"), ("--max-universe", "0"),
+                                         ("--max-universe", "-3")])
+def test_a_non_positive_chain_bound_names_its_flag(tmp_path, capsys, flag, value):
+    w = tmp_path / "w.json"
+    argv = ["search", "--coloring", "parity-of-min", "--universe", "interval:2..12",
+            flag, value, "--out-witness", str(w)]
+    assert run_experiment(argv) == CONFIG_ERROR and not w.exists()
+    assert capsys.readouterr().err == f"config error: {flag} must be positive, got {value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--mode", "chain", "--coloring", "parity-of-min",
+     "--universe", "interval:2..99999999999"],
+    ["enumerate", "--universe", "evens:2..99999999999"],
+])
+def test_a_universe_spec_above_the_cap_is_refused_before_it_is_built(argv):
+    # Built whole, either universe would take hundreds of GB; in 2 GiB of
+    # address space the build ends in a MemoryError.
+    resource = pytest.importorskip("resource")
+    cap = 2 * 1024 ** 3
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xlramsey.cli", *argv],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_address_space,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == CONFIG_ERROR, proc.stderr
+    spec = argv[-1]
+    count = len(range(2, 10 ** 11)) // (2 if spec.startswith("evens") else 1)
+    assert proc.stderr == (f"config error: --universe {spec!r}: {count} elements, "
+                           f"above the limit of {cli.MAX_UNIVERSE_ELEMENTS}\n")
+    assert proc.stdout == ""
+
+
+def test_a_universe_spec_at_the_cap_is_built():
+    cap = cli.MAX_UNIVERSE_ELEMENTS
+    assert len(parse_universe(f"interval:2..{cap + 1}")) == cap
+    assert len(parse_universe(f"evens:1..{2 * cap}")) == cap
+    for spec in (f"interval:2..{cap + 2}", f"evens:0..{2 * cap}"):
+        with pytest.raises(ConfigError, match=f"^--universe '{spec}': {cap + 1} elements"):
+            parse_universe(spec)
 
 
 @pytest.mark.parametrize("universe, start", [

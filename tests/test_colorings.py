@@ -38,7 +38,7 @@ from xlramsey.machines import (
     run_bounded,
     staged_jump,
 )
-from xlramsey.colorings import _UNREAD, _ExactMemo, _StageTable, _TupleRows
+from xlramsey.colorings import _UNREAD, _StageTable
 from xlramsey.ramsey import _Restricted, _Subsets, exact_homog_search, verify_min_homogeneous
 
 DIVERGERS = (0, 2, 4, 7, 9)  # indices that never halt on any input
@@ -86,7 +86,7 @@ def test_exact_coloring_rejects_bad_input_on_every_call():
             with pytest.raises(ValueError):
                 coloring(bad)
     assert c((1, 9)) == 1 and c(FinSet([1, 9])) == 1 and c(els(1, 9)) == 1
-    assert len(c._memo) == 1
+    assert len(c) == 1
 
 
 def test_stage_miss_builds_its_set_with_one_validation(monkeypatch):
@@ -147,7 +147,7 @@ def _read_by_stream(stage, reads):
             colors.append(v)
     except Exception as exc:
         error = (type(exc), str(exc))
-    return colors, _stored(stage._memo), error
+    return colors, _stored(stage), error
 
 
 def _read_by_calls(stage, reads):
@@ -158,17 +158,17 @@ def _read_by_calls(stage, reads):
         except Exception as exc:
             error = (type(exc), str(exc))
             break
-    return colors, _stored(stage._memo), error
+    return colors, _stored(stage), error
 
 
-def _stored(memo):
-    """The (tuple, color) pairs a memo holds: a dict memo's in the order
+def _stored(c):
+    """The (tuple, color) pairs a coloring holds: a dict's in the order
     stored, a stage table's in the order of the tuples."""
-    if not isinstance(memo, _StageTable):
-        return list(memo.items())
-    tuples = {sum(map(getitem, memo.slots, t)): t
-              for t in combinations(memo.universe, len(memo.slots))}
-    return sorted((tuples[r], v) for r, v in enumerate(memo.store) if v != _UNREAD)
+    if not isinstance(c, _StageTable):
+        return list(c.items())
+    tuples = {sum(map(getitem, c.slots, t)): t
+              for t in combinations(c.universe, len(c.slots))}
+    return sorted((tuples[r], v) for r, v in enumerate(c.store) if v != _UNREAD)
 
 
 def _read_by_contract(stage, reads):
@@ -179,7 +179,7 @@ def _read_by_contract(stage, reads):
         try:
             v = memo.get(t)
             if v is None:
-                s = ExactlyLargeSet(FinSet(stage._prefix + t))
+                s = ExactlyLargeSet(FinSet(stage.prefix + t))
                 v = stage._fn(s)
                 if stage._check is not None:
                     stage._check(s, v)
@@ -309,7 +309,7 @@ def test_stream_read_stops_at_first_other_color(kind):
         tuples = _CountingIter([(x,) for x in range(3, 12)])
         assert not all(map(eq, c.colors(tuples), repeat(0)))
         assert tuples.pulled == 4
-        assert _stored(c._memo) == [((3,), 0), ((4,), 0), ((5,), 0), ((6,), 1)]
+        assert _stored(c) == [((3,), 0), ((4,), 0), ((5,), 0), ((6,), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +337,14 @@ def _logged_source(kind, palette, seed, log):
 
 def _stage(source, a, universe, store):
     """The stage at minimum a over universe, its colors kept in ``store``:
-    "tuple" (a memo keyed by tuple, as an oversize stage keeps them) or
-    "table" (by rank, one byte per stage tuple)."""
-    stage = source.at_min(a, universe)
-    assert isinstance(stage._memo, _StageTable)
-    if store == "tuple":
-        stage._memo = _ExactMemo(stage._fn, (a,), stage.palette, source._check,
-                                 frozenset(universe))
+    "tuple" (an ExactColoring keyed by tuple, as an oversize stage is,
+    forced by lowering ``MAX_STAGE_TABLE``) or "table" (by rank, one byte
+    per stage tuple)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if store == "tuple":
+            mp.setattr(colorings, "MAX_STAGE_TABLE", -1)
+        stage = source.at_min(a, universe)
+    assert type(stage) is (ExactColoring if store == "tuple" else _StageTable)
     return stage
 
 
@@ -527,7 +528,7 @@ def test_subsets_rank_as_their_heads_one_by_one(data):
     heads = _Subsets(elems, k, tail)
 
     def table():
-        return _StageTable(lambda s: sum(s.elems) % 3, a, tuple(universe), 3, None)
+        return ExactColoring(lambda s: sum(s.elems) % 3, palette=3).at_min(a, universe)
 
     if {x for h in heads for x in h} <= set(universe):
         want = [sum(map(getitem, table().slots, sub + tail)) for sub in combinations(elems, k)]
@@ -536,7 +537,7 @@ def test_subsets_rank_as_their_heads_one_by_one(data):
     with pytest.raises(KeyError):
         table().ranks(heads)
     outcomes = []
-    for row in (table().row(heads), _TupleRows.row(table(), list(heads))):
+    for row in (table().row(heads), table().row(list(heads))):
         try:
             outcomes.append(tuple(row((universe[-1],))))
         except ValueError as exc:
@@ -607,7 +608,7 @@ def test_a_row_reads_every_split_as_tuple_rows_do(case):
             stage = _stage(_logged_source(kind, palette, seed, log), a, universe, store)
             results = [_apply(stage, ("stream", list(combinations(universe.elems, a))))
                        if fill else None]
-            row = stage.row(heads) if by_rank else _TupleRows.row(stage._memo, list(heads))
+            row = stage.row(heads) if by_rank else stage.row(list(heads))
             for end, color in reads:
                 try:
                     v = row(end, color)
@@ -630,7 +631,7 @@ def test_greedy_row_keeps_its_heads_as_subsets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stage._memo.store.count(0) == comb(40, 4)
+    assert stage.store.count(0) == comb(40, 4)
     assert peak < 6_000_000
 
 
@@ -686,7 +687,7 @@ def test_a_finite_miss_refuses_an_entry_that_is_not_a_plain_int():
         for read in (c, lambda t: next(c.colors([t]))):
             with pytest.raises(ValueError, match=rf"^not a natural number: {name}$"):
                 read(bad)
-        assert c._memo == {}
+        assert len(c) == 0
 
 
 def test_a_sparse_stage_allocates_one_table():
@@ -701,7 +702,7 @@ def test_a_sparse_stage_allocates_one_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = stage._memo.store
+    table = stage.store
     assert len(table) - table.count(_UNREAD) == -(-comb(24, 7) // 40)
     assert peak < 1.25 * comb(24, 7)
 
@@ -733,16 +734,16 @@ def test_oversize_stage_and_wide_palette_keep_the_tuple_memo():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000 and type(stage._memo) is _ExactMemo
+    assert peak < 1_000_000 and type(stage) is ExactColoring
     assert stage(tuple(range(31, 61))) == 0
     with pytest.raises(ValueError, match="stage universe"):
         stage(tuple(range(31, 60)) + (80,))
     wide = ExactColoring(lambda s: 299, palette=300).at_min(3, FinSet(range(4, 12)))
-    assert type(wide._memo) is _ExactMemo and wide((4, 5, 6)) == 299
+    assert type(wide) is ExactColoring and wide((4, 5, 6)) == 299
     # colors 0 to 254 fit below the unread byte
     edge = _stage(ExactColoring(lambda s: 254, palette=255), 3, FinSet(range(4, 12)), "table")
     assert edge((4, 5, 6)) == 254 and edge((4, 5, 6)) == 254
-    assert isinstance(edge._memo.store, bytearray)
+    assert isinstance(edge.store, bytearray)
 
 
 def test_stage_universe_lies_above_the_minimum():
@@ -783,7 +784,7 @@ def test_no_memo_keeps_its_coloring_alive(kind):
     gc.disable()
     try:
         c = make()
-        assert list(c.colors([t])) == [c(t)] and len(_stored(c._memo)) == 1
+        assert list(c.colors([t])) == [c(t)] and len(_stored(c)) == 1
         ref = weakref.ref(c)
         del c
         assert ref() is None
@@ -1018,8 +1019,8 @@ def test_comega_stores_a_stage_tuple_once(monkeypatch):
     stage = comega_coloring(EMPTY).at_min(4, FinSet(range(5, 14)))
     assert list(stage.colors(tuples)) == want
     level, = towers
-    assert level(2)._memo and level(3)._memo and not level(4)._memo
-    assert not {(4,) + t for t in tuples} & {t for n in (2, 3, 4) for t in level(n)._memo}
+    assert len(level(2)) and len(level(3)) and not len(level(4))
+    assert not {(4,) + t for t in tuples} & {t for n in (2, 3, 4) for t in level(n)}
 
 
 comega_reads = st.tuples(st.integers(2, 5), st.integers(1, 44),

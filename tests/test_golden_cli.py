@@ -112,7 +112,22 @@ BENCH = [
     ("bench-exhaustive-verify-r1", ["verify", "--witness", "r1.json", "--coloring", "random:1"]),
 ]
 
-COMMANDS = README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
+# Configuration errors: a universe spec above the element cap, refused
+# before it is built, and budget bounds that are out of range or unread.
+ERRORS = [
+    ("universe-above-cap", ["search", "--mode", "chain", "--coloring", "parity-of-min",
+                            "--universe", "interval:2..99999999999"]),
+    ("enumerate-universe-above-cap", ["enumerate", "--universe", "evens:2..99999999999"]),
+    ("chain-max-universe-zero", ["search", "--coloring", "parity-of-min",
+                                 "--universe", "interval:2..12", "--max-universe", "0"]),
+    ("homogeneous-max-candidates-zero", ["search", "--mode", "homogeneous",
+                                         "--coloring", "parity-of-min",
+                                         "--universe", "interval:2..12",
+                                         "--max-candidates", "0"]),
+]
+
+COMMANDS = (README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
+            + ERRORS)
 
 
 def _digests(root):

@@ -20,7 +20,8 @@ from conftest import (
 )
 import reference_extract
 
-from xlramsey.colorings import _UNREAD, ExactColoring, FiniteColoring, _ExactMemo, _pigeonhole
+from xlramsey import colorings
+from xlramsey.colorings import _UNREAD, ExactColoring, FiniteColoring, _pigeonhole
 from xlramsey.largesets import FinSet
 from xlramsey.ramsey import (
     DEFAULT_BUDGET,
@@ -605,13 +606,15 @@ def test_extraction_raises_where_the_reference_raises():
         assert len(got_log) == 101 and got_log == want_log
 
 
-def test_extraction_beyond_the_stage_universe_names_it():
+def test_extraction_beyond_the_stage_universe_names_it(monkeypatch):
     # Heads, candidates and view tails outside the stage's universe fail
-    # as their first tuple read does, whatever the stage's store.
-    for store in ("tuple", "table"):
-        stage = ExactColoring(lambda s: s.min() % 2).at_min(3, FinSet(range(4, 12)))
+    # as their first tuple read does, whatever the stage's store: a table,
+    # or a dict keyed by tuple once no stage fits a table.
+    for store in ("table", "tuple"):
         if store == "tuple":
-            stage._memo = _ExactMemo(stage._fn, (3,), 2, None, frozenset(range(4, 12)))
+            monkeypatch.setattr(colorings, "MAX_STAGE_TABLE", -1)
+        stage = ExactColoring(lambda s: s.min() % 2).at_min(3, FinSet(range(4, 12)))
+        assert (type(stage) is ExactColoring) == (store == "tuple")
         with pytest.raises(ValueError, match=r"\(4, 5, 12\) is not a tuple of the stage universe"):
             f_a_extract(3, stage, FinSet(range(4, 14)), 9)
 
@@ -620,7 +623,7 @@ def test_memo_hits_make_no_calls(monkeypatch):
     c = ExactColoring(lambda s: s.min() % 2, name="parity-of-min")
     stage = c.at_min(5, FinSet(range(6, 20)))
     evaluations = calls = 0
-    fn, call = stage._fn, ExactColoring.__call__
+    fn, call = stage._fn, type(stage).__call__
 
     def counting_fn(s):
         nonlocal evaluations
@@ -633,10 +636,10 @@ def test_memo_hits_make_no_calls(monkeypatch):
         return call(self, s)
 
     stage._fn = counting_fn
-    monkeypatch.setattr(ExactColoring, "__call__", counting_call)
+    monkeypatch.setattr(type(stage), "__call__", counting_call)
     w = f_a_extract(5, stage, FinSet(range(6, 20)), 14)
-    assert w.verified and evaluations == len(stage._memo.store) == 2002
-    assert _UNREAD not in stage._memo.store
+    assert w.verified and evaluations == len(stage.store) == 2002
+    assert _UNREAD not in stage.store
     assert calls == 0
 
 

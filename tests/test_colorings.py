@@ -49,7 +49,7 @@ def els(*elems):
 
 
 # ---------------------------------------------------------------------------
-# wrappers
+# calls and memos
 
 def test_finite_coloring_validation():
     c = FiniteColoring(2, lambda t: t[1] % 2)

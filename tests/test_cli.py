@@ -445,11 +445,11 @@ def test_malformed_program_text_is_a_config_error(tmp_path, capsys, block):
 @pytest.mark.parametrize("mode, flags", [
     ("homogeneous", ["--max-candidates", "1", "--max-universe", "3"]),
     ("homogeneous", ["--max-universe", "3"]),
+    ("min-homogeneous", ["--start", "3"]),
+    ("chain", ["--k", "6"]),
     # unread, so not refused as out of range
     ("homogeneous", ["--max-candidates", "0"]),
     ("min-homogeneous", ["--max-universe", "0"]),
-    ("min-homogeneous", ["--start", "3"]),
-    ("chain", ["--k", "6"]),
 ])
 def test_search_flags_the_mode_never_reads_are_config_errors(tmp_path, capsys, mode, flags):
     argv = ["search", "--mode", mode, "--coloring", "random:5",

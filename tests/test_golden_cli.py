@@ -126,8 +126,28 @@ ERRORS = [
                                          "--max-candidates", "0"]),
 ]
 
+# Round trips: km-to-rt on a regressive chain witness and on the
+# README's min-homogeneous witness, and decode on a dh chain witness;
+# verify reads each witness written here.
+ROUND_TRIPS = [
+    ("roundtrip-chain-min-minus-one", ["search", "--mode", "chain", "--coloring",
+                                       "min-minus-one", "--universe", "interval:2..14",
+                                       "--out-witness", "mmo.json"]),
+    ("roundtrip-verify-chain-min-minus-one", ["verify", "--witness", "mmo.json"]),
+    ("roundtrip-reduce-km-to-rt-chain", ["reduce", "--direction", "km-to-rt",
+                                         "--witness", "mmo.json", "--out-witness", "mmo-rt.json"]),
+    ("roundtrip-verify-km-to-rt-chain", ["verify", "--witness", "mmo-rt.json"]),
+    ("roundtrip-reduce-km-to-rt-mh", ["reduce", "--direction", "km-to-rt",
+                                      "--witness", "mh.json", "--out-witness", "mh-rt.json"]),
+    ("roundtrip-verify-km-to-rt-mh", ["verify", "--witness", "mh-rt.json"]),
+    ("roundtrip-chain-dh", ["search", "--mode", "chain", "--coloring", "dh",
+                            "--universe", "evens:2..24", "--out-witness", "dhw.json"]),
+    ("roundtrip-verify-chain-dh", ["verify", "--witness", "dhw.json"]),
+    ("roundtrip-decode-dh", ["decode", "--witness", "dhw.json", "--query", "0,1"]),
+]
+
 COMMANDS = (README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
-            + ERRORS)
+            + ERRORS + ROUND_TRIPS)
 
 
 def _digests(root):

@@ -47,10 +47,6 @@ class ConfigError(Exception):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # spec parsing
 
@@ -528,10 +524,7 @@ def run_experiment(argv=None) -> int:
             setattr(args, dest, _DEFAULTS.get(dest))
         _require(args, *required)
         return fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except OSError as exc:

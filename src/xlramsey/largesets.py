@@ -90,9 +90,6 @@ class FinSet:
     def __len__(self) -> int:
         return len(self.elems)
 
-    def __bool__(self) -> bool:
-        return bool(self.elems)
-
     def __eq__(self, other) -> bool:
         # Of one class only: an ExactlyLargeSet is not equal to the
         # FinSet of its elements.

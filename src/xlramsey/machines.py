@@ -231,9 +231,6 @@ class OracleSet:
     def key(self):
         return None
 
-    def __contains__(self, n: int) -> bool:
-        return self.member(n)
-
 
 class ExplicitOracle(OracleSet):
     """Membership in an explicit finite set."""

@@ -64,6 +64,13 @@ def _parse_set(flag: str, spec: str) -> FinSet:
 # universe is built whole, so a larger spec is refused before it is built.
 MAX_UNIVERSE_ELEMENTS = 1 << 20
 
+# The most elements of a universe whose exactly large subsets enumerate
+# counts.  An n-element universe has under 2^n subsets, so a count at
+# the cap has at most 2,467 digits, under any integer string limit
+# Python sets by default, and the formula takes about 2 s; its time grows
+# faster than quadratically with n.
+MAX_COUNTED_ELEMENTS = 1 << 13
+
 
 def parse_universe(spec: str) -> FinSet:
     s = spec.strip()
@@ -164,6 +171,9 @@ def _write_csv(path, header: list, rows) -> None:
 
 def _cmd_enumerate(args) -> int:
     universe = parse_universe(args.universe)
+    if len(universe) > MAX_COUNTED_ELEMENTS:
+        raise ConfigError(f"--universe {args.universe!r}: {len(universe)} elements, above "
+                          f"enumerate's limit of {MAX_COUNTED_ELEMENTS}")
     if args.out:
         _write_csv(args.out, ["set"], ([s.render()] for s in enumerate_exactly_large(universe)))
     print(f"exactly-large subsets of {universe.render()}: {count_exactly_large(universe)}")
@@ -272,7 +282,11 @@ def _replay_witness(args) -> None:
     if not getattr(args, "witness", None):
         return  # _require names the missing flag
     with open(args.witness, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ConfigError(f"--witness {args.witness!r}: JSON nested too deeply "
+                              f"to read") from None
     args.source = Witness.from_dict(data)
     recorded = data.get("config") or {}
     if not isinstance(recorded, dict):
@@ -295,7 +309,10 @@ def _cmd_verify(args) -> int:
     verify = (verify_min_homogeneous if witness.kind == "min-homogeneous"
               else verify_exact_homogeneous)
     report = verify(witness.set, coloring)
-    false_claim = _false_claim(witness, report) if report.passed else None
+    false_claim = None
+    if report.passed:
+        false_claim = _false_claim(witness, report) or (
+            _false_chain_claim(witness) if witness.kind == "chain" else None)
     if false_claim:
         report = report._replace(passed=False)
     if args.out:
@@ -328,6 +345,60 @@ def _false_claim(witness: Witness, report) -> Optional[str]:
         if m <= len(elems) - i - 1 and claimed.get(m, report.color) != report.color:
             return (f"witness field 'per_min' gives minimum {m} color {claimed[m]}, "
                     f"the set's color is {report.color}")
+    return None
+
+
+def _chain_field(budget: dict, key: str, ok, want: str):
+    """The budget's value at key, or None when the witness omits it; a
+    value of the wrong type is a config error."""
+    value = budget.get(key)
+    if value is not None and not ok(value):
+        raise ConfigError(f"witness field {key!r} must be {want}, got {value!r}")
+    return value
+
+
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _false_chain_claim(witness: Witness) -> Optional[str]:
+    """The first claim of a chain witness's budget that another of its
+    claims contradicts, or None.  The set lies in
+    ``chain_before_thinning``, which begins at ``start``; the stages'
+    minima are that chain before its last element; each kept element's
+    per-min color is ``pigeonhole_color`` and its stage's color.  A field
+    the witness omits makes no claim."""
+    budget, elems, per_min = witness.budget_used, witness.set.elems, witness.per_min_colors
+    start = _chain_field(budget, "start", _is_int, "an integer")
+    chosen = _chain_field(budget, "pigeonhole_color", _is_int, "an integer")
+    chain = _chain_field(budget, "chain_before_thinning",
+                         lambda v: type(v) is list and all(map(_is_int, v)),
+                         "a list of integers")
+    stages = _chain_field(budget, "stages", lambda v: type(v) is list and all(
+        type(s) is dict and _is_int(s.get("a")) and _is_int(s.get("color")) for s in v),
+        "a list of objects with integer 'a' and 'color'")
+    if chain is not None:
+        for x in elems:
+            if x not in chain:
+                return (f"witness field 'chain_before_thinning' is {chain}, "
+                        f"without the set's element {x}")
+        if start is not None and chain[:1] != [start]:
+            return f"witness field 'start' is {start}, 'chain_before_thinning' is {chain}"
+        if stages is not None and [s["a"] for s in stages] != chain[:-1]:
+            return (f"witness field 'stages' has minima {[s['a'] for s in stages]}, "
+                    f"'chain_before_thinning' before its last element is {chain[:-1]}")
+    if per_min is None:
+        return None
+    for x in elems:
+        if chosen is not None and per_min.get(x, chosen) != chosen:
+            return (f"witness field 'pigeonhole_color' is {chosen}, "
+                    f"'per_min' gives minimum {x} color {per_min[x]}")
+    if stages is not None:
+        staged = {s["a"]: s["color"] for s in stages}
+        for x in elems:
+            if staged.get(x) != per_min.get(x):
+                return (f"witness field 'stages' gives minimum {x} color {staged.get(x)}, "
+                        f"'per_min' gives it {per_min.get(x)}")
     return None
 
 

@@ -1013,3 +1013,98 @@ def test_reduction_note_is_the_same_under_any_integer_string_limit(tmp_path):
         notes.append(read_csv(out)[1][-1])
     assert notes[0] == notes[1] == ("insufficient data: halt0 reduction of a 24069-bit index "
                                     "exceeds the desk-scale program size limit")
+
+
+def test_a_deeply_nested_witness_is_a_config_error(tmp_path, capsys):
+    # json.load recurses once per bracket, past any recursion limit.
+    w = tmp_path / "deep.json"
+    w.write_text("[" * 100000 + "]" * 100000)
+    assert run_experiment(["verify", "--witness", str(w),
+                           "--coloring", "parity-of-min"]) == CONFIG_ERROR
+    assert capsys.readouterr().err == (f"config error: --witness {str(w)!r}: "
+                                       f"JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("limit", [None, "0"])
+def test_enumerate_refuses_a_universe_above_the_count_cap(limit):
+    # Counted, interval:2..21500 takes about 26 s, and its count is too
+    # long to print under the default integer string limit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    if limit is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xlramsey.cli", "enumerate", "--universe", "interval:2..21500"],
+        capture_output=True, text=True, timeout=15, env=dict(env, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (CONFIG_ERROR, "")
+    assert proc.stderr == ("config error: --universe 'interval:2..21500': 21499 elements, "
+                           "above enumerate's limit of 8192\n")
+
+
+def test_enumerate_counts_a_universe_at_the_count_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_COUNTED_ELEMENTS", 5)
+    assert run_experiment(["enumerate", "--universe", "interval:2..6"]) == OK
+    assert capsys.readouterr().out == "exactly-large subsets of {2,3,4,5,6}: 7\n"
+    assert run_experiment(["enumerate", "--universe", "{2,3,4,5,6,7}"]) == CONFIG_ERROR
+    assert capsys.readouterr().err == ("config error: --universe '{2,3,4,5,6,7}': 6 elements, "
+                                       "above enumerate's limit of 5\n")
+
+
+def _first_stage(payload, color):
+    payload["budget"]["stages"][0]["color"] = color
+
+
+# The chain {2,4,6,8} of _CHAIN thins the chain 2,...,8, whose stages at
+# minima 2,...,7 have colors 0,1,0,1,0,1, to color 0.
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p["budget"].update(chain_before_thinning=[]),
+     "witness field 'chain_before_thinning' is [], without the set's element 2"),
+    (lambda p: p["budget"].update(pigeonhole_color=1),
+     "witness field 'pigeonhole_color' is 1, 'per_min' gives minimum 2 color 0"),
+    (lambda p: _first_stage(p, 1),
+     "witness field 'stages' gives minimum 2 color 1, 'per_min' gives it 0"),
+    (lambda p: p["budget"].update(start=99),
+     "witness field 'start' is 99, 'chain_before_thinning' is [2, 3, 4, 5, 6, 7, 8]"),
+    (lambda p: p["budget"].update(stages=[]),
+     "witness field 'stages' has minima [], 'chain_before_thinning' before its last "
+     "element is [2, 3, 4, 5, 6, 7]"),
+], ids=["chain emptied", "pigeonhole color", "first stage color", "start", "stages emptied"])
+def test_verify_cross_checks_the_claims_of_a_chain(tmp_path, capsys, edit, message):
+    w = _tampered(tmp_path, _CHAIN, edit)
+    out = tmp_path / "v.json"
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w), "--out", str(out)]) == VERIFY_FAILURE
+    assert capsys.readouterr().out == f"verify chain {{2,4,6,8}}: fail (3 subsets): {message}\n"
+    assert read_json(out)["passed"] is False
+
+
+@pytest.mark.parametrize("spec, universe, budget", [
+    ("parity-of-min", "interval:2..14", "1000000"), ("random:7", "interval:2..14", "1"),
+    ("random:7", "interval:2..14", "5"), ("min-minus-one", "interval:2..14", "1000000"),
+    ("second-mod-min", "interval:2..14", "2"), ("comega", "interval:2..14", "1000000"),
+    ("km-dh", "evens:2..24", "1000000"), ("sum-mod:3", "interval:2..14", "5"),
+])
+def test_verify_passes_the_chain_claims_of_genuine_witnesses(tmp_path, capsys, spec, universe,
+                                                             budget):
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--mode", "chain", "--coloring", spec,
+                           "--universe", universe, "--max-candidates", budget,
+                           "--out-witness", str(w)]) == OK
+    assert read_json(w)["budget"]["stages"]
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w)]) == OK
+    assert ": pass (" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("start", "2", "an integer"), ("pigeonhole_color", True, "an integer"),
+    ("chain_before_thinning", [2, "3"], "a list of integers"),
+    ("stages", [{"a": 2}], "a list of objects with integer 'a' and 'color'"),
+])
+def test_chain_claim_of_the_wrong_type_is_a_config_error(tmp_path, capsys, field, value, want):
+    w = _tampered(tmp_path, _CHAIN, lambda p: p["budget"].update({field: value}))
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
+    assert capsys.readouterr().err == (f"config error: witness field {field!r} must be "
+                                       f"{want}, got {value!r}\n")

@@ -146,8 +146,13 @@ ROUND_TRIPS = [
     ("roundtrip-decode-dh", ["decode", "--witness", "dhw.json", "--query", "0,1"]),
 ]
 
+# enumerate refuses, before counting, a universe above its count cap.
+COUNT_CAP = [
+    ("enumerate-above-count-cap", ["enumerate", "--universe", "interval:2..21500"]),
+]
+
 COMMANDS = (README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
-            + ERRORS + ROUND_TRIPS)
+            + ERRORS + ROUND_TRIPS + COUNT_CAP)
 
 
 def _digests(root):

@@ -879,6 +879,14 @@ def test_bad_set_literal_names_the_flag_and_the_spec(capsys, verb, flag, spec):
      "got {'x': 0}"),
     ("verified", "yes", "witness field 'verified' must be true or false, got 'yes'"),
     ("budget", [], "witness field 'budget' must be an object, got []"),
+    ("budget", {"start": "2"}, "witness field 'start' must be an integer, got '2'"),
+    ("budget", {"pigeonhole_color": True},
+     "witness field 'pigeonhole_color' must be an integer, got True"),
+    ("budget", {"chain_before_thinning": [2, "3"]},
+     "witness field 'chain_before_thinning' must be a list of integers, got [2, '3']"),
+    ("budget", {"stages": [{"a": 2}]},
+     "witness field 'stages' must be a list of objects with integer 'a' and 'color', "
+     "got [{'a': 2}]"),
 ])
 def test_witness_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, field, value,
                                                            message):
@@ -940,11 +948,26 @@ def _flip_min(payload, m):
      "witness field 'per_min' gives minimum 4 color 1, the set gives it 0"),
     (_MIN_HOMOGENEOUS, lambda p: p["per_min"].pop("3"),
      "witness field 'per_min' gives minimum 3 color None, the set gives it 0"),
-], ids=["chain color", "chain per_min", "min-homogeneous per_min", "min-homogeneous missing"])
+    (_CHAIN, lambda p: p["budget"].update(chain_before_thinning=[]),
+     "witness field 'chain_before_thinning' is [], without the set's element 2"),
+    (_CHAIN, lambda p: p["budget"].update(pigeonhole_color=1),
+     "witness field 'pigeonhole_color' is 1, 'per_min' gives minimum 2 color 0"),
+    (_CHAIN, lambda p: p["budget"]["stages"][0].update(color=1),
+     "witness field 'stages' gives minimum 2 color 1, 'per_min' gives it 0"),
+    (_CHAIN, lambda p: p["budget"].update(start=99),
+     "witness field 'start' is 99, 'chain_before_thinning' is [2, 3, 4, 5, 6, 7, 8]"),
+    (_CHAIN, lambda p: p["budget"].update(stages=[]),
+     "witness field 'stages' has minima [], 'chain_before_thinning' before its last "
+     "element is [2, 3, 4, 5, 6, 7]"),
+], ids=["chain color", "chain per_min", "min-homogeneous per_min", "min-homogeneous missing",
+        "chain emptied", "chain pigeonhole color", "chain first stage color", "chain start",
+        "chain stages emptied"])
 def test_verify_checks_the_color_claims_of_a_witness(tmp_path, capsys, argv, edit, message):
-    # The set {2,4,6,8} has color 0 and per-min colors {2:0,4:0,6:0}; the
-    # set {3,4,5,12,18,19} has per-min colors {3:0,4:0}.  A false claim
-    # fails verification and the report says so.
+    # The set {2,4,6,8} has color 0 and per-min colors {2:0,4:0,6:0}; it
+    # thins the chain 2,...,8, whose stages at minima 2,...,7 have colors
+    # 0,1,0,1,0,1, to color 0.  The set {3,4,5,12,18,19} has per-min
+    # colors {3:0,4:0}.  A false claim fails verification and the report
+    # says so.
     w = _tampered(tmp_path, argv, edit)
     out = tmp_path / "v.json"
     capsys.readouterr()
@@ -1051,34 +1074,6 @@ def test_enumerate_counts_a_universe_at_the_count_cap(capsys, monkeypatch):
                                        "above enumerate's limit of 5\n")
 
 
-def _first_stage(payload, color):
-    payload["budget"]["stages"][0]["color"] = color
-
-
-# The chain {2,4,6,8} of _CHAIN thins the chain 2,...,8, whose stages at
-# minima 2,...,7 have colors 0,1,0,1,0,1, to color 0.
-@pytest.mark.parametrize("edit, message", [
-    (lambda p: p["budget"].update(chain_before_thinning=[]),
-     "witness field 'chain_before_thinning' is [], without the set's element 2"),
-    (lambda p: p["budget"].update(pigeonhole_color=1),
-     "witness field 'pigeonhole_color' is 1, 'per_min' gives minimum 2 color 0"),
-    (lambda p: _first_stage(p, 1),
-     "witness field 'stages' gives minimum 2 color 1, 'per_min' gives it 0"),
-    (lambda p: p["budget"].update(start=99),
-     "witness field 'start' is 99, 'chain_before_thinning' is [2, 3, 4, 5, 6, 7, 8]"),
-    (lambda p: p["budget"].update(stages=[]),
-     "witness field 'stages' has minima [], 'chain_before_thinning' before its last "
-     "element is [2, 3, 4, 5, 6, 7]"),
-], ids=["chain emptied", "pigeonhole color", "first stage color", "start", "stages emptied"])
-def test_verify_cross_checks_the_claims_of_a_chain(tmp_path, capsys, edit, message):
-    w = _tampered(tmp_path, _CHAIN, edit)
-    out = tmp_path / "v.json"
-    capsys.readouterr()
-    assert run_experiment(["verify", "--witness", str(w), "--out", str(out)]) == VERIFY_FAILURE
-    assert capsys.readouterr().out == f"verify chain {{2,4,6,8}}: fail (3 subsets): {message}\n"
-    assert read_json(out)["passed"] is False
-
-
 @pytest.mark.parametrize("spec, universe, budget", [
     ("parity-of-min", "interval:2..14", "1000000"), ("random:7", "interval:2..14", "1"),
     ("random:7", "interval:2..14", "5"), ("min-minus-one", "interval:2..14", "1000000"),
@@ -1095,16 +1090,3 @@ def test_verify_passes_the_chain_claims_of_genuine_witnesses(tmp_path, capsys, s
     capsys.readouterr()
     assert run_experiment(["verify", "--witness", str(w)]) == OK
     assert ": pass (" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("field, value, want", [
-    ("start", "2", "an integer"), ("pigeonhole_color", True, "an integer"),
-    ("chain_before_thinning", [2, "3"], "a list of integers"),
-    ("stages", [{"a": 2}], "a list of objects with integer 'a' and 'color'"),
-])
-def test_chain_claim_of_the_wrong_type_is_a_config_error(tmp_path, capsys, field, value, want):
-    w = _tampered(tmp_path, _CHAIN, lambda p: p["budget"].update({field: value}))
-    capsys.readouterr()
-    assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
-    assert capsys.readouterr().err == (f"config error: witness field {field!r} must be "
-                                       f"{want}, got {value!r}\n")

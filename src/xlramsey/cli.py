@@ -66,9 +66,9 @@ MAX_UNIVERSE_ELEMENTS = 1 << 20
 
 # The most elements of a universe whose exactly large subsets enumerate
 # counts.  An n-element universe has under 2^n subsets, so a count at
-# the cap has at most 2,467 digits, under any integer string limit
-# Python sets by default, and the formula takes about 2 s; its time grows
-# faster than quadratically with n.
+# the cap has at most 2,467 digits, under Python's default limit of 4,300
+# for integer string conversion.  The count's time grows faster than
+# quadratically with n; at the cap it takes about 2 s.
 MAX_COUNTED_ELEMENTS = 1 << 13
 
 
@@ -309,10 +309,8 @@ def _cmd_verify(args) -> int:
     verify = (verify_min_homogeneous if witness.kind == "min-homogeneous"
               else verify_exact_homogeneous)
     report = verify(witness.set, coloring)
-    false_claim = None
-    if report.passed:
-        false_claim = _false_claim(witness, report) or (
-            _false_chain_claim(witness) if witness.kind == "chain" else None)
+    false_claim = (_false_claim(witness, report) or _false_chain_claim(witness)
+                   if report.passed else None)
     if false_claim:
         report = report._replace(passed=False)
     if args.out:
@@ -368,6 +366,8 @@ def _false_chain_claim(witness: Witness) -> Optional[str]:
     minima are that chain before its last element; each kept element's
     per-min color is ``pigeonhole_color`` and its stage's color.  A field
     the witness omits makes no claim."""
+    if witness.kind != "chain":
+        return None
     budget, elems, per_min = witness.budget_used, witness.set.elems, witness.per_min_colors
     start = _chain_field(budget, "start", _is_int, "an integer")
     chosen = _chain_field(budget, "pigeonhole_color", _is_int, "an integer")
@@ -389,16 +389,14 @@ def _false_chain_claim(witness: Witness) -> Optional[str]:
                     f"'chain_before_thinning' before its last element is {chain[:-1]}")
     if per_min is None:
         return None
+    staged = {s["a"]: s["color"] for s in stages or ()}
     for x in elems:
         if chosen is not None and per_min.get(x, chosen) != chosen:
             return (f"witness field 'pigeonhole_color' is {chosen}, "
                     f"'per_min' gives minimum {x} color {per_min[x]}")
-    if stages is not None:
-        staged = {s["a"]: s["color"] for s in stages}
-        for x in elems:
-            if staged.get(x) != per_min.get(x):
-                return (f"witness field 'stages' gives minimum {x} color {staged.get(x)}, "
-                        f"'per_min' gives it {per_min.get(x)}")
+        if stages is not None and staged.get(x) != per_min.get(x):
+            return (f"witness field 'stages' gives minimum {x} color {staged.get(x)}, "
+                    f"'per_min' gives it {per_min.get(x)}")
     return None
 
 

@@ -287,6 +287,8 @@ def _replay_witness(args) -> None:
         except RecursionError:
             raise ConfigError(f"--witness {args.witness!r}: JSON nested too deeply "
                               f"to read") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"--witness {args.witness!r}: not JSON: {exc}") from None
     args.source = Witness.from_dict(data)
     recorded = data.get("config") or {}
     if not isinstance(recorded, dict):
@@ -309,7 +311,7 @@ def _cmd_verify(args) -> int:
     verify = (verify_min_homogeneous if witness.kind == "min-homogeneous"
               else verify_exact_homogeneous)
     report = verify(witness.set, coloring)
-    false_claim = (_false_claim(witness, report) or _false_chain_claim(witness)
+    false_claim = (_false_claim(witness, report) or _false_chain_claim(witness, report)
                    if report.passed else None)
     if false_claim:
         report = report._replace(passed=False)
@@ -359,16 +361,21 @@ def _is_int(v) -> bool:
     return type(v) is int
 
 
-def _false_chain_claim(witness: Witness) -> Optional[str]:
-    """The first claim of a chain witness's budget that another of its
-    claims contradicts, or None.  The set lies in
-    ``chain_before_thinning``, which begins at ``start``; the stages'
-    minima are that chain before its last element; each kept element's
-    per-min color is ``pigeonhole_color`` and its stage's color.  A field
-    the witness omits makes no claim."""
+def _false_chain_claim(witness: Witness, report) -> Optional[str]:
+    """The first claim of a chain witness's budget that its set, verified
+    in ``report``, or another of its claims contradicts, or None.
+    ``verified_subsets`` is the count of subsets the verifier checked.
+    The set lies in ``chain_before_thinning``, which begins at ``start``;
+    the stages' minima are that chain before its last element; each kept
+    element's per-min color is ``pigeonhole_color`` and its stage's
+    color.  A field the witness omits makes no claim."""
     if witness.kind != "chain":
         return None
     budget, elems, per_min = witness.budget_used, witness.set.elems, witness.per_min_colors
+    checked = _chain_field(budget, "verified_subsets", _is_int, "an integer")
+    if checked is not None and checked != report.checked:
+        return (f"witness field 'verified_subsets' is {checked}, "
+                f"the verifier checked {report.checked}")
     start = _chain_field(budget, "start", _is_int, "an integer")
     chosen = _chain_field(budget, "pigeonhole_color", _is_int, "an integer")
     chain = _chain_field(budget, "chain_before_thinning",

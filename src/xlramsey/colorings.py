@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 from .decoders import _ApproxJumpOracle, _halts, _no_threshold_in
 from .largesets import ExactlyLargeSet, FinSet
 from .machines import (
+    ExplicitOracle,
     OracleSet,
     ProgramSet,
     _least_querying_index,
@@ -498,23 +499,53 @@ def comega_coloring(A: OracleSet) -> ExactColoring:
 # ---------------------------------------------------------------------------
 # disagreement-hardness colorings
 
-def _least_disagreement_level(X: OracleSet, elems: tuple, programs) -> int:
+class _Folds(dict):
+    """The staged-jump levels of one ``dh``/``km-dh`` coloring's folds,
+    keyed by stage tuple: each value the levels folded so far, innermost
+    first, as their ``elems`` tuples.  A value grows only as far as a
+    comparison reads it and is replaced whole, so it takes no lock: a
+    racing thread reads a shorter or a longer run, both true, and a
+    write it loses costs only a later fold.  It lives and dies with its
+    coloring, as the coloring's colors do."""
+
+    __slots__ = ("oracle", "programs")
+
+    def __init__(self, oracle: OracleSet, programs):
+        self.oracle, self.programs = oracle, programs
+
+    def read(self, stages: tuple):
+        """The levels of the fold along ``stages``: the stored tuple when
+        it is folded to its end, else ``_fold``'s lazy extension."""
+        done = self.get(stages, ())
+        return done if len(done) == len(stages) else self._fold(stages, done)
+
+    def _fold(self, stages: tuple, done: tuple):
+        yield from done
+        # Level i's oracle is its jump set, as in the fold itself, so the
+        # steps from there read the jump cache's entries.
+        over = ExplicitOracle(done[-1]) if done else self.oracle
+        for level in staged_jump_levels(over, stages[len(done):], self.programs):
+            done += (level.elems,)
+            self[stages] = done
+            yield level.elems
+
+
+def _least_disagreement_level(folds: _Folds, elems: tuple) -> int:
     """Least level i in [1, n] at which the two staged jumps read off an
     exactly large tuple with even minimum 2n disagree below the tuple's
     bounding entry elems[n - i]; 0 when they all agree or the minimum is
     odd.  Level i folds the stages elems[n], ..., elems[n-i+1] and
     elems[2n], ..., elems[2n-i+1], so the two folds advance one step per
-    level, side by side, and stop at the first disagreement.
+    level, side by side, and stop at the first disagreement.  Each fold's
+    levels are read through the coloring's memo of them (``_Folds``).
     """
     a0 = elems[0]
     if a0 % 2 or a0 == 0:
         return 0
     n = a0 // 2
-    firsts = staged_jump_levels(X, elems[n:0:-1], programs)
-    seconds = staged_jump_levels(X, elems[2 * n:n:-1], programs)
+    firsts, seconds = folds.read(elems[n:0:-1]), folds.read(elems[2 * n:n:-1])
     for i, first, second in zip(range(1, n + 1), firsts, seconds):
         bound = elems[n - i]
-        first, second = first.elems, second.elems
         if first[:bisect_left(first, bound)] != second[:bisect_left(second, bound)]:
             return i
     return 0
@@ -525,10 +556,10 @@ def dh_coloring(X: OracleSet, programs=None) -> ExactColoring:
     jump approximations, read at stages taken from the middle and the
     top of the tuple, disagree below the tuple's bounding entry.  Odd
     minima color 0 (the value is irrelevant there)."""
-    progs = None if programs is None else ProgramSet(programs)
+    folds = _Folds(X, None if programs is None else ProgramSet(programs))
 
     def fn(s: ExactlyLargeSet) -> int:
-        return 1 if _least_disagreement_level(X, s.elems, progs) else 0
+        return 1 if _least_disagreement_level(folds, s.elems) else 0
 
     return ExactColoring(fn, palette=2, name="dh")
 
@@ -536,10 +567,10 @@ def dh_coloring(X: OracleSet, programs=None) -> ExactColoring:
 def km_dh_coloring(X: OracleSet, programs=None) -> RegressiveColoring:
     """Regressive variant: the least disagreeing level itself (0 when
     none).  Regressive because the level is at most half the minimum."""
-    progs = None if programs is None else ProgramSet(programs)
+    folds = _Folds(X, None if programs is None else ProgramSet(programs))
 
     def fn(s: ExactlyLargeSet) -> int:
-        return _least_disagreement_level(X, s.elems, progs)
+        return _least_disagreement_level(folds, s.elems)
 
     return RegressiveColoring(fn, name="km-dh")
 

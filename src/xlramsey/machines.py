@@ -466,13 +466,18 @@ def staged_jump_levels(oracle: OracleSet, stages, programs=None) -> Iterator[Fin
 
     A step is memoized in the jump cache under (previous level's oracle
     key, stage, programs token) with its result's oracle key, so a hit
-    is one lookup and builds no oracle.  Over an oracle without a key
-    the first step runs afresh.
+    is one lookup and builds no oracle.  A step at a stage of at most
+    the least querying index runs only query-free programs, all below
+    the stage, so its jump set is the same over every oracle: it is
+    keyed (stage, programs token), as ``halt_threshold`` keys a
+    query-free run (e, x).  Over an oracle without a key the first step
+    runs afresh.
     """
     ptok = _programs_token(programs)
+    blind = _least_querying_index()
     over, okey = oracle, oracle.key
     for u in stages:
-        ckey = None if okey is None else (okey, u, ptok)
+        ckey = None if okey is None else (u, ptok) if u <= blind else (okey, u, ptok)
         step = None if ckey is None else _JUMP_CACHE.get(ckey)
         if step is None:
             if over is None:

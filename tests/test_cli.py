@@ -882,6 +882,8 @@ def test_bad_set_literal_names_the_flag_and_the_spec(capsys, verb, flag, spec):
     ("budget", {"start": "2"}, "witness field 'start' must be an integer, got '2'"),
     ("budget", {"pigeonhole_color": True},
      "witness field 'pigeonhole_color' must be an integer, got True"),
+    ("budget", {"verified_subsets": "3"},
+     "witness field 'verified_subsets' must be an integer, got '3'"),
     ("budget", {"chain_before_thinning": [2, "3"]},
      "witness field 'chain_before_thinning' must be a list of integers, got [2, '3']"),
     ("budget", {"stages": [{"a": 2}]},
@@ -959,9 +961,11 @@ def _flip_min(payload, m):
     (_CHAIN, lambda p: p["budget"].update(stages=[]),
      "witness field 'stages' has minima [], 'chain_before_thinning' before its last "
      "element is [2, 3, 4, 5, 6, 7]"),
+    (_CHAIN, lambda p: p["budget"].update(verified_subsets=99),
+     "witness field 'verified_subsets' is 99, the verifier checked 3"),
 ], ids=["chain color", "chain per_min", "min-homogeneous per_min", "min-homogeneous missing",
         "chain emptied", "chain pigeonhole color", "chain first stage color", "chain start",
-        "chain stages emptied"])
+        "chain stages emptied", "chain verified_subsets"])
 def test_verify_checks_the_color_claims_of_a_witness(tmp_path, capsys, argv, edit, message):
     # The set {2,4,6,8} has color 0 and per-min colors {2:0,4:0,6:0}; it
     # thins the chain 2,...,8, whose stages at minima 2,...,7 have colors
@@ -1046,6 +1050,21 @@ def test_a_deeply_nested_witness_is_a_config_error(tmp_path, capsys):
                            "--coloring", "parity-of-min"]) == CONFIG_ERROR
     assert capsys.readouterr().err == (f"config error: --witness {str(w)!r}: "
                                        f"JSON nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"kind": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 10: "
+                           "invalid start byte"),
+])
+def test_a_witness_that_is_not_json_names_the_flag_and_the_file(tmp_path, capsys, content,
+                                                                reason):
+    w = tmp_path / "bad.json"
+    w.write_bytes(content)
+    assert run_experiment(["verify", "--witness", str(w),
+                           "--coloring", "parity-of-min"]) == CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: --witness {str(w)!r}: not JSON: {reason}\n"
 
 
 @pytest.mark.parametrize("limit", [None, "0"])

@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import threading
 import tracemalloc
 import weakref
 from itertools import accumulate, combinations, islice, repeat
@@ -1139,6 +1141,130 @@ def test_dh_folds_one_stage_per_level(monkeypatch):
     # Every entry is at most 46, so all three levels agree and are folded.
     assert dh_coloring(EMPTY)(els(6, 8, 10, 12, 14, 16, 18)) == 0
     assert sorted(stages) == [8, 10, 12, 14, 16, 18]
+
+
+def _parity_fold(pulled):
+    # A stand-in for staged_jump_levels: level i is {u_i % 2}, so two
+    # folds agree at a level iff their stages there have one parity.
+    def levels(oracle, stages, programs=None):
+        for u in stages:
+            pulled.append((oracle, u))
+            yield FinSet([u % 2])
+
+    return levels
+
+
+def test_dh_fold_memo_reads_no_level_past_a_disagreement(monkeypatch):
+    pulled = []
+    monkeypatch.setattr(colorings, "staged_jump_levels", _parity_fold(pulled))
+    c = km_dh_coloring(EMPTY)
+    e = EMPTY.key
+    # Folds (9, 8) and (12, 11) disagree at level 1: one level each.
+    assert c(els(4, 8, 9, 11, 12)) == 1
+    assert [(o.key, u) for o, u in pulled] == [(e, 9), (e, 12)]
+    # A repeated read, and the fold (9, 8) paired anew, pull no stored level.
+    assert c.evaluate((4, 8, 9, 11, 12)) == 1
+    assert c(els(4, 5, 6, 8, 9)) == 1
+    assert [(o.key, u) for o, u in pulled] == [(e, 9), (e, 12), (e, 6)]
+    # (6, 5) and (8, 7) agree at level 1; (6, 5) is extended from its
+    # stored level, as the oracle of its jump set.
+    del pulled[:]
+    assert c(els(4, 5, 6, 7, 8)) == 0
+    assert [(o.key, u) for o, u in pulled] == [(e, 8), (ExplicitOracle([0]).key, 5), (e, 7)]
+
+
+def _stage_sharing_sets(n, pool, count):
+    # Sets (2n, ...) drawn from one small pool share their stage tuples.
+    return [(2 * n,) + t for t in islice(combinations(pool, 2 * n), count)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(X=dh_oracles, n=st.integers(1, 3),
+       pool=st.sets(st.integers(7, 52), min_size=7, max_size=9),
+       programs=st.none() | st.just([46, 50, 51]) | st.lists(st.integers(0, 52)),
+       cleared=st.booleans())
+def test_dh_fold_memo_matches_full_fold_reference(X, n, pool, programs, cleared):
+    if cleared:
+        clear_caches()
+    dh, km_dh = dh_coloring(X, programs), km_dh_coloring(X, programs)
+    for elems in _stage_sharing_sets(n, sorted(pool), 12):
+        want = least_disagreement_reference(X, elems, programs)
+        assert km_dh(els(*elems)) == want
+        assert dh(els(*elems)) == (1 if want else 0)
+
+
+def _toy_step(level, u):
+    # One fold step of a toy jump whose levels disagree often.
+    return FinSet(sorted({(sum(level) + u * k) % 11 for k in (1, 2, 3)}))
+
+
+def _toy_levels(oracle, stages, programs=None):
+    # A stand-in for staged_jump_levels that folds _toy_step.
+    level = oracle.elems
+    for u in stages:
+        level = _toy_step(level, u).elems
+        yield FinSet(level)
+
+
+def _toy_reference(members, elems):
+    # least_disagreement_reference for the toy jump.
+    n = elems[0] // 2
+    for i in range(1, n + 1):
+        first = second = members
+        for u in elems[n:n - i:-1]:
+            first = _toy_step(first, u)
+        for u in elems[2 * n:2 * n - i:-1]:
+            second = _toy_step(second, u)
+        bound = elems[n - i]
+        if set(first) & set(range(bound)) != set(second) & set(range(bound)):
+            return i
+    return 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(members=st.frozensets(st.integers(0, 10), max_size=4), n=st.integers(1, 4),
+       pool=st.sets(st.integers(9, 30), min_size=8, max_size=10))
+def test_dh_fold_memo_matches_a_plain_fold_of_a_toy_jump(members, n, pool):
+    sets = _stage_sharing_sets(n, sorted(pool), 40)
+    wants = [_toy_reference(members, elems) for elems in sets]
+    real = colorings.staged_jump_levels
+    colorings.staged_jump_levels = _toy_levels
+    try:
+        c = km_dh_coloring(ExplicitOracle(members))
+        assert [c(els(*elems)) for elems in sets] == wants
+    finally:
+        colorings.staged_jump_levels = real
+
+
+def test_dh_fold_memo_agrees_under_thread_switching(monkeypatch):
+    # Racing threads may lose a memo write, which only costs a fold
+    # again: no color changes.
+    monkeypatch.setattr(colorings, "staged_jump_levels", _toy_levels)
+    members = frozenset({1, 4})
+    pool = (9, 11, 14, 17, 20, 23, 25, 28, 30)
+    sets = [s for n in (2, 3) for s in _stage_sharing_sets(n, pool, 60)]
+    want = [_toy_reference(members, elems) for elems in sets]
+    assert len(set(want)) > 2
+    c = km_dh_coloring(ExplicitOracle(members))
+    results = {}
+
+    def work(slot):
+        order = sets if slot % 2 == 0 else sets[::-1]
+        got = {elems: c.evaluate(elems) for elems in order}
+        results[slot] = [got[elems] for elems in sets]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == want for i in range(8))
 
 
 def test_km_dh_regressive_on_random_tuples():

@@ -151,8 +151,17 @@ COUNT_CAP = [
     ("enumerate-above-count-cap", ["enumerate", "--universe", "interval:2..21500"]),
 ]
 
+# reduce --direction km-to-rt exits 3 on a witness that is not
+# homogeneous for the derived two-coloring: {2,...,7} under second-mod-min.
+KM_TO_RT_REFUSED = [
+    ("km-to-rt-source", ["search", "--mode", "homogeneous", "--coloring", "constant:0",
+                         "--universe", "interval:2..7", "--k", "6", "--out-witness", "k6.json"]),
+    ("reduce-km-to-rt-not-homogeneous", ["reduce", "--direction", "km-to-rt",
+                                         "--coloring", "second-mod-min", "--witness", "k6.json"]),
+]
+
 COMMANDS = (README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
-            + ERRORS + ROUND_TRIPS + COUNT_CAP)
+            + ERRORS + ROUND_TRIPS + COUNT_CAP + KM_TO_RT_REFUSED)
 
 
 def _digests(root):

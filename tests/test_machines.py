@@ -495,6 +495,26 @@ def test_program_set_key_is_computed_once(monkeypatch):
     assert interned[-1] == (3, 5, 9)  # a plain list is keyed on every call
 
 
+@pytest.mark.parametrize("stage, runs", [(40, 1), (46, 1), (47, 2), (50, 2)])
+def test_a_jump_step_at_a_stage_of_at_most_46_is_keyed_by_its_stage(monkeypatch, stage, runs):
+    # Every program below 46 is query-free, so a step that runs only
+    # those gives one jump set over every oracle.
+    clear_caches()
+    stages = []
+    real = machines.jump_pairs_approx
+    monkeypatch.setattr(machines, "jump_pairs_approx",
+                        lambda oracle, s, programs=None: stages.append(s)
+                        or real(oracle, s, programs))
+    for oracle in (EMPTY, ExplicitOracle([3])):
+        [level] = staged_jump_levels(oracle, (stage,))
+        assert level == real(oracle, stage)
+    assert stages == [stage] * runs
+    # An oracle without a key still runs its first step afresh.
+    [level] = staged_jump_levels(UnkeyedOracle(EMPTY.member), (stage,))
+    assert level == real(EMPTY, stage)
+    assert stages == [stage] * (runs + 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(elems=small_sets, s=st.integers(0, 12), programs=program_lists)
 def test_jump_pairs_approx_monotone_property(elems, s, programs):

@@ -33,6 +33,7 @@ from .ramsey import (
     DEFAULT_BUDGET,
     SearchBudget,
     Witness,
+    chain_witness,
     exact_homog_search,
     iterate_rtomega,
     min_homog_search,
@@ -70,6 +71,11 @@ MAX_UNIVERSE_ELEMENTS = 1 << 20
 # for integer string conversion.  The count's time grows faster than
 # quadratically with n; at the cap it takes about 2 s.
 MAX_COUNTED_ELEMENTS = 1 << 13
+
+# The most rows enumerate --out and color without --limit write, one per
+# exactly large subset: interval:2..30 (1,346,239 subsets) fits, and
+# interval:2..31 (2,178,278) is refused before any row is written.
+MAX_ROWS = 1 << 21
 
 
 def parse_universe(spec: str) -> FinSet:
@@ -169,14 +175,26 @@ def _write_csv(path, header: list, rows) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_enumerate(args) -> int:
-    universe = parse_universe(args.universe)
+def _count(args, universe: FinSet, rows: Optional[str] = None) -> int:
+    """The number of exactly large subsets of --universe, refused above
+    MAX_COUNTED_ELEMENTS elements and, when ``rows`` names the flags that
+    ask for one row per subset, above MAX_ROWS subsets."""
     if len(universe) > MAX_COUNTED_ELEMENTS:
         raise ConfigError(f"--universe {args.universe!r}: {len(universe)} elements, above "
-                          f"enumerate's limit of {MAX_COUNTED_ELEMENTS}")
+                          f"{args.command}'s limit of {MAX_COUNTED_ELEMENTS}")
+    count = count_exactly_large(universe)
+    if rows and count > MAX_ROWS:
+        raise ConfigError(f"--universe {args.universe!r}: {count} exactly large subsets, "
+                          f"above the limit of {MAX_ROWS} rows {rows}")
+    return count
+
+
+def _cmd_enumerate(args) -> int:
+    universe = parse_universe(args.universe)
+    count = _count(args, universe, "for --out" if args.out else None)
     if args.out:
         _write_csv(args.out, ["set"], ([s.render()] for s in enumerate_exactly_large(universe)))
-    print(f"exactly-large subsets of {universe.render()}: {count_exactly_large(universe)}")
+    print(f"exactly-large subsets of {universe.render()}: {count}")
     return OK
 
 
@@ -186,6 +204,8 @@ def _cmd_color(args) -> int:
     sets = enumerate_exactly_large(universe)
     if args.limit is not None:
         sets = islice(sets, max(args.limit, 0))
+    else:
+        _count(args, universe, "without --limit")
     # Rows are made as they are written, as enumerate's are.  Each set
     # is read once, so its color is evaluated and not stored.
     evaluate = coloring.evaluate
@@ -311,8 +331,8 @@ def _cmd_verify(args) -> int:
     verify = (verify_min_homogeneous if witness.kind == "min-homogeneous"
               else verify_exact_homogeneous)
     report = verify(witness.set, coloring)
-    false_claim = (_false_claim(witness, report) or _false_chain_claim(witness, report)
-                   if report.passed else None)
+    false_claim = (_false_claim(witness, report)
+                   or _false_chain_claim(witness, report, coloring) if report.passed else None)
     if false_claim:
         report = report._replace(passed=False)
     if args.out:
@@ -348,62 +368,34 @@ def _false_claim(witness: Witness, report) -> Optional[str]:
     return None
 
 
-def _chain_field(budget: dict, key: str, ok, want: str):
-    """The budget's value at key, or None when the witness omits it; a
-    value of the wrong type is a config error."""
-    value = budget.get(key)
-    if value is not None and not ok(value):
-        raise ConfigError(f"witness field {key!r} must be {want}, got {value!r}")
-    return value
-
-
-def _is_int(v) -> bool:
-    return type(v) is int
-
-
-def _false_chain_claim(witness: Witness, report) -> Optional[str]:
-    """The first claim of a chain witness's budget that its set, verified
-    in ``report``, or another of its claims contradicts, or None.
-    ``verified_subsets`` is the count of subsets the verifier checked.
-    The set lies in ``chain_before_thinning``, which begins at ``start``;
-    the stages' minima are that chain before its last element; each kept
-    element's per-min color is ``pigeonhole_color`` and its stage's
-    color.  A field the witness omits makes no claim."""
-    if witness.kind != "chain":
+def _false_chain_claim(witness: Witness, report, c: ExactColoring) -> Optional[str]:
+    """The first claim of a chain witness that its chain contradicts, or
+    None.  The stage minima are the chain before its last element; the
+    chain is min-homogeneous, each stage's color where it decides one;
+    and the witness ``chain_witness`` rebuilds from them, reusing the
+    set's ``report``, matches every claim.  No chain field, no claim."""
+    budget = witness.budget_used
+    if witness.kind != "chain" or "chain_before_thinning" not in budget:
         return None
-    budget, elems, per_min = witness.budget_used, witness.set.elems, witness.per_min_colors
-    checked = _chain_field(budget, "verified_subsets", _is_int, "an integer")
-    if checked is not None and checked != report.checked:
-        return (f"witness field 'verified_subsets' is {checked}, "
-                f"the verifier checked {report.checked}")
-    start = _chain_field(budget, "start", _is_int, "an integer")
-    chosen = _chain_field(budget, "pigeonhole_color", _is_int, "an integer")
-    chain = _chain_field(budget, "chain_before_thinning",
-                         lambda v: type(v) is list and all(map(_is_int, v)),
-                         "a list of integers")
-    stages = _chain_field(budget, "stages", lambda v: type(v) is list and all(
-        type(s) is dict and _is_int(s.get("a")) and _is_int(s.get("color")) for s in v),
-        "a list of objects with integer 'a' and 'color'")
-    if chain is not None:
-        for x in elems:
-            if x not in chain:
-                return (f"witness field 'chain_before_thinning' is {chain}, "
-                        f"without the set's element {x}")
-        if start is not None and chain[:1] != [start]:
-            return f"witness field 'start' is {start}, 'chain_before_thinning' is {chain}"
-        if stages is not None and [s["a"] for s in stages] != chain[:-1]:
-            return (f"witness field 'stages' has minima {[s['a'] for s in stages]}, "
-                    f"'chain_before_thinning' before its last element is {chain[:-1]}")
-    if per_min is None:
-        return None
-    staged = {s["a"]: s["color"] for s in stages or ()}
-    for x in elems:
-        if chosen is not None and per_min.get(x, chosen) != chosen:
-            return (f"witness field 'pigeonhole_color' is {chosen}, "
-                    f"'per_min' gives minimum {x} color {per_min[x]}")
-        if stages is not None and staged.get(x) != per_min.get(x):
-            return (f"witness field 'stages' gives minimum {x} color {staged.get(x)}, "
-                    f"'per_min' gives it {per_min.get(x)}")
+    chain, stages = budget["chain_before_thinning"], budget["stages"]
+    minima = [s["a"] for s in stages]
+    if minima != chain[:-1]:
+        return (f"witness field 'stages' has minima {minima}, "
+                f"'chain_before_thinning' before its last element is {chain[:-1]}")
+    decided = verify_min_homogeneous(FinSet(chain), c)
+    if not decided.passed:
+        a, ca, b, cb = decided.counterexample
+        return f"witness field 'chain_before_thinning' gives {a} color {ca}, {b} color {cb}"
+    for s in stages:
+        v = decided.per_min.get(s["a"], s["color"])
+        if v != s["color"]:
+            return (f"witness field 'stages' gives minimum {s['a']} color {s['color']}, "
+                    f"the chain gives it {v}")
+    rebuilt = chain_witness(c, chain, stages, {witness.set: report})
+    claims, derived = ({**w.to_dict(), **w.budget_used} for w in (witness, rebuilt))
+    for key in ("set", "color", "per_min", "start", "pigeonhole_color", "verified_subsets"):
+        if key in claims and claims[key] != derived[key]:
+            return f"witness field {key!r} is {claims[key]}, the chain gives {derived[key]}"
     return None
 
 

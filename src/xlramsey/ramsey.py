@@ -93,15 +93,20 @@ class Witness(_WitnessFields):
             raise ValueError(f"unknown witness schema: {d['schema']!r}")
         color, per_min = d.get("color"), d.get("per_min")
         verified, budget = d.get("verified", False), d.get("budget", {})
-        for key, value, ok, want in (
-                ("color", color, type(color) in (int, type(None)), "an integer or null"),
-                ("per_min", per_min, per_min is None or type(per_min) is dict and all(
-                    k.isascii() and k.isdigit() and type(v) is int for k, v in per_min.items()),
-                 "null or an object from naturals to integers"),
-                ("verified", verified, type(verified) is bool, "true or false"),
-                ("budget", budget, type(budget) is dict, "an object")):
-            if not ok:
+        fields = {"color": color, "per_min": per_min, "verified": verified, "budget": budget}
+        if d["kind"] == "chain" and type(budget) is dict:
+            fields.update((key, budget[key]) for key in _CHAIN_FIELDS if key in budget)
+        for key, value in fields.items():
+            ok, want = _FIELD_TYPES[key]
+            if not ok(value):
                 raise ValueError(f"witness field {key!r} must be {want}, got {value!r}")
+        # A budget that claims any of a chain must give the chain and its
+        # stages, which verify derives every other claim from.
+        claimed = [key for key in _CHAIN_FIELDS if key in fields]
+        missing = sorted({"chain_before_thinning", "stages"} - fields.keys())
+        if claimed and missing:
+            raise ValueError(f"witness field {missing[0]!r} must be present when the budget "
+                             f"holds {claimed[0]!r}")
         return cls(
             set=FinSet(d["set"]),
             kind=d["kind"],
@@ -110,6 +115,27 @@ class Witness(_WitnessFields):
             verified=verified,
             budget_used=budget,
         )
+
+
+# The JSON type of each witness field from_dict reads: a test, and the
+# words of the error.  The chain fields sit in a chain witness's budget.
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_FIELD_TYPES = {
+    "color": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "per_min": (lambda v: v is None or type(v) is dict and all(
+        k.isascii() and k.isdigit() and type(x) is int for k, x in v.items()),
+        "null or an object from naturals to integers"),
+    "verified": (lambda v: type(v) is bool, "true or false"),
+    "budget": (lambda v: type(v) is dict, "an object"),
+    "start": _INTEGER, "pigeonhole_color": _INTEGER, "verified_subsets": _INTEGER,
+    "chain_before_thinning": (lambda v: type(v) is list and all(type(x) is int for x in v),
+                              "a list of integers"),
+    "stages": (lambda v: type(v) is list and all(type(s) is dict and type(s.get("a")) is int
+                                                 and type(s.get("color")) is int for s in v),
+               "a list of objects with integer 'a' and 'color'"),
+}
+_CHAIN_FIELDS = ("start", "stages", "chain_before_thinning", "pigeonhole_color",
+                 "verified_subsets")
 
 
 class SearchResult(NamedTuple):
@@ -562,11 +588,9 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
     previous stage's set without its minimum) by the exact coloring
     applied to the tuple with a_i prepended; extraction supplies the stage's
     homogeneous set, whose minimum becomes the next chain element.  The
-    chain stops when a stage search fails inside its budget.  A final
-    pigeonhole pass thins the chain to one induced per-minimum color
-    class (the most frequent color, ties to the least); elements with
-    no induced color are kept, since no exactly large subset starts at
-    them.  A given ``start`` must be a universe element.
+    chain stops when a stage search fails inside its budget, and
+    ``chain_witness`` thins it.  A given ``start`` must be a universe
+    element.
     """
     if not universe:
         raise ValueError("universe must be nonempty")
@@ -574,42 +598,42 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
         raise ValueError("universe must start at 2 or above")
     if start is not None and start not in universe:
         raise ValueError(f"start {start} is not an element of the universe")
-    a0 = universe.min() if start is None else start
-    chain = [a0]
-    stage_colors: dict[int, int] = {}
+    chain = [universe.min() if start is None else start]
     stages = []
-    current = universe.above(a0).elems[: budget.max_universe]
-    while True:
+    current = universe.above(chain[0]).elems[: budget.max_universe]
+    # Every element is at least 2, so an emptied universe stops the chain.
+    while len(current) >= chain[-1]:
         a = chain[-1]
-        if len(current) < a:
-            break
         stage_universe = FinSet(current)
         w = f_a_extract(a, c.at_min(a, stage_universe), stage_universe, len(current), budget)
         if not w.set or w.color is None:
             break
-        stage_colors[a] = w.color
         stages.append({
             "a": a, "size": len(w.set), "color": w.color, "verified": w.verified,
         })
         nxt = w.set.elems
         chain.append(nxt[0])
         current = nxt[1:]
-        if not current:
-            break
+    return chain_witness(c, chain, stages)
 
-    thinned, chosen = _pigeonhole(chain, stage_colors)
+
+def chain_witness(c: ExactColoring, chain: list, stages: list,
+                  reports: Optional[dict] = None) -> Witness:
+    """The witness of a chain (its start, then each stage's next minimum)
+    and its stages (each with its minimum ``a`` and ``color``), for
+    search and ``verify`` alike.  A pigeonhole pass keeps the most
+    frequent stage color, ties to the least, and the elements without a
+    stage color, at which no exactly large subset starts.  The thinned
+    set is verified unless ``reports`` maps it to its report already."""
+    colors = {s["a"]: s["color"] for s in stages}
+    thinned, chosen = _pigeonhole(chain, colors)
     result = FinSet(thinned)
-    report = verify_exact_homogeneous(result, c)
+    report = (reports or {}).get(result) or verify_exact_homogeneous(result, c)
     return Witness(
-        result, "chain",
-        color=report.color,
-        per_min_colors={x: stage_colors[x] for x in thinned if x in stage_colors},
-        verified=report.passed,
-        budget_used={
-            "start": a0,
-            "stages": stages,
-            "chain_before_thinning": chain,
-            "pigeonhole_color": chosen,
-            "verified_subsets": report.checked,
-        },
+        result, "chain", color=report.color, verified=report.passed,
+        per_min_colors={x: colors[x] for x in thinned if x in colors},
+        # No search builds an empty chain; verify may be given one.
+        budget_used={"start": chain[0] if chain else None, "stages": stages,
+                     "chain_before_thinning": chain, "pigeonhole_color": chosen,
+                     "verified_subsets": report.checked},
     )

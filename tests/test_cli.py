@@ -933,6 +933,8 @@ def _tampered(tmp_path, argv, edit):
 
 _CHAIN = ["search", "--mode", "chain", "--coloring", "parity-of-min",
           "--universe", "interval:2..14"]
+_PARITY_OF_SUM_CHAIN = ["search", "--mode", "chain", "--coloring", "parity-of-sum",
+                        "--universe", "interval:2..14"]
 _MIN_HOMOGENEOUS = ["search", "--mode", "min-homogeneous", "--coloring", "random:3",
                     "--universe", "interval:3..20", "--k", "6"]
 
@@ -951,27 +953,40 @@ def _flip_min(payload, m):
     (_MIN_HOMOGENEOUS, lambda p: p["per_min"].pop("3"),
      "witness field 'per_min' gives minimum 3 color None, the set gives it 0"),
     (_CHAIN, lambda p: p["budget"].update(chain_before_thinning=[]),
-     "witness field 'chain_before_thinning' is [], without the set's element 2"),
+     "witness field 'stages' has minima [2, 3, 4, 5, 6, 7], 'chain_before_thinning' before "
+     "its last element is []"),
     (_CHAIN, lambda p: p["budget"].update(pigeonhole_color=1),
-     "witness field 'pigeonhole_color' is 1, 'per_min' gives minimum 2 color 0"),
+     "witness field 'pigeonhole_color' is 1, the chain gives 0"),
     (_CHAIN, lambda p: p["budget"]["stages"][0].update(color=1),
-     "witness field 'stages' gives minimum 2 color 1, 'per_min' gives it 0"),
+     "witness field 'stages' gives minimum 2 color 1, the chain gives it 0"),
     (_CHAIN, lambda p: p["budget"].update(start=99),
-     "witness field 'start' is 99, 'chain_before_thinning' is [2, 3, 4, 5, 6, 7, 8]"),
+     "witness field 'start' is 99, the chain gives 2"),
     (_CHAIN, lambda p: p["budget"].update(stages=[]),
      "witness field 'stages' has minima [], 'chain_before_thinning' before its last "
      "element is [2, 3, 4, 5, 6, 7]"),
     (_CHAIN, lambda p: p["budget"].update(verified_subsets=99),
-     "witness field 'verified_subsets' is 99, the verifier checked 3"),
+     "witness field 'verified_subsets' is 99, the chain gives 3"),
+    (_CHAIN, lambda p: p["budget"]["stages"][1].update(color=0),
+     "witness field 'stages' gives minimum 3 color 0, the chain gives it 1"),
+    (_CHAIN, lambda p: p["budget"]["stages"][5].update(color=0),
+     "witness field 'set' is [2, 4, 6, 8], the chain gives [2, 4, 6, 7, 8]"),
+    (_CHAIN, lambda p: (p.update(set=[2, 4, 6], per_min={"2": 0, "4": 0, "6": 0}),
+                        p["budget"].update(verified_subsets=1)),
+     "witness field 'set' is [2, 4, 6], the chain gives [2, 4, 6, 8]"),
+    (_PARITY_OF_SUM_CHAIN, lambda p: p["budget"].update(
+        chain_before_thinning=[2, 3, 4, 5],
+        stages=[{"a": a, "color": 0} for a in (2, 3, 4)]),
+     "witness field 'chain_before_thinning' gives (2, 3, 4) color 1, (2, 3, 5) color 0"),
 ], ids=["chain color", "chain per_min", "min-homogeneous per_min", "min-homogeneous missing",
         "chain emptied", "chain pigeonhole color", "chain first stage color", "chain start",
-        "chain stages emptied", "chain verified_subsets"])
+        "chain stages emptied", "chain verified_subsets", "chain stage color off the set",
+        "chain last stage color", "chain set cut", "chain not min-homogeneous"])
 def test_verify_checks_the_color_claims_of_a_witness(tmp_path, capsys, argv, edit, message):
     # The set {2,4,6,8} has color 0 and per-min colors {2:0,4:0,6:0}; it
     # thins the chain 2,...,8, whose stages at minima 2,...,7 have colors
-    # 0,1,0,1,0,1, to color 0.  The set {3,4,5,12,18,19} has per-min
-    # colors {3:0,4:0}.  A false claim fails verification and the report
-    # says so.
+    # 0,1,0,1,0,1, to color 0.  The chain decides the colors at minima 2,
+    # 3 and 4 only.  The set {3,4,5,12,18,19} has per-min colors
+    # {3:0,4:0}.  A false claim fails verification and the report says so.
     w = _tampered(tmp_path, argv, edit)
     out = tmp_path / "v.json"
     capsys.readouterr()
@@ -1109,3 +1124,90 @@ def test_verify_passes_the_chain_claims_of_genuine_witnesses(tmp_path, capsys, s
     capsys.readouterr()
     assert run_experiment(["verify", "--witness", str(w)]) == OK
     assert ": pass (" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("budget, missing, held", [
+    ({"start": 2}, "chain_before_thinning", "start"),
+    ({"pigeonhole_color": 0, "stages": []}, "chain_before_thinning", "stages"),
+    ({"verified_subsets": 3, "chain_before_thinning": [2, 3]}, "stages",
+     "chain_before_thinning"),
+    ({"chain_before_thinning": [2, 3, 4, 5, 6, 7, 8]}, "stages", "chain_before_thinning"),
+])
+def test_a_chain_budget_without_its_chain_or_stages_names_the_missing_field(
+        tmp_path, capsys, budget, missing, held):
+    # The other claims are derived from the chain and its stages, so a
+    # budget that makes any claim about a chain must give both.
+    w = _tampered(tmp_path, _CHAIN, lambda p: p.update(budget=budget))
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
+    assert capsys.readouterr().err == (f"config error: witness field {missing!r} must be "
+                                       f"present when the budget holds {held!r}\n")
+
+
+def test_a_chain_budget_without_chain_fields_claims_no_chain(tmp_path):
+    w = _tampered(tmp_path, _CHAIN, lambda p: p.update(budget={"note": "hand-made"}))
+    assert run_experiment(["verify", "--witness", str(w)]) == OK
+
+
+@pytest.mark.parametrize("chain, stages", [
+    ([], []), ([3, 2], None), ([3, 2], [{"a": 3, "color": 1}]),
+])
+def test_an_empty_or_decreasing_chain_is_refused_without_a_traceback(tmp_path, chain,
+                                                                      stages):
+    def edit(p):
+        p["budget"]["chain_before_thinning"] = chain
+        if stages is not None:
+            p["budget"]["stages"] = stages
+
+    w = _tampered(tmp_path, _CHAIN, edit)
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    proc = subprocess.run([sys.executable, "-m", "xlramsey.cli", "verify", "--witness", str(w)],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode in (CONFIG_ERROR, VERIFY_FAILURE), proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--universe", "interval:2..60", "--out", "big.csv"],
+     "--universe 'interval:2..60': 2504730781901 exactly large subsets, above the limit of "
+     "2097152 rows for --out"),
+    (["color", "--coloring", "parity-of-min", "--universe", "interval:2..60"],
+     "--universe 'interval:2..60': 2504730781901 exactly large subsets, above the limit of "
+     "2097152 rows without --limit"),
+    (["color", "--coloring", "parity-of-min", "--universe", "interval:2..60",
+      "--out", "big.csv"],
+     "--universe 'interval:2..60': 2504730781901 exactly large subsets, above the limit of "
+     "2097152 rows without --limit"),
+    (["color", "--coloring", "parity-of-min", "--universe", "interval:2..21500"],
+     "--universe 'interval:2..21500': 21499 elements, above color's limit of 8192"),
+])
+def test_rows_past_the_cap_are_refused_before_any_is_written(tmp_path, argv, message):
+    # Each of these once streamed rows until it was killed.
+    src = os.path.dirname(os.path.dirname(xlramsey.__file__))
+    proc = subprocess.run([sys.executable, "-m", "xlramsey.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=15,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (CONFIG_ERROR, "")
+    assert proc.stderr == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rows_at_the_cap_are_written(tmp_path, capsys, monkeypatch):
+    # {2,...,7} has 14 exactly large subsets; {2,...,8} has 26.
+    monkeypatch.setattr(cli, "MAX_ROWS", 14)
+    out = tmp_path / "sets.csv"
+    assert run_experiment(["enumerate", "--universe", "interval:2..7", "--out", str(out)]) == OK
+    assert len(read_csv(out)) == 15
+    assert capsys.readouterr().out.endswith(": 14\n")
+    assert run_experiment(["color", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..7"]) == OK
+    assert len(capsys.readouterr().out.splitlines()) == 14
+    for argv in (["enumerate", "--universe", "interval:2..8", "--out", str(out)],
+                 ["color", "--coloring", "parity-of-min", "--universe", "interval:2..8"]):
+        assert run_experiment(argv) == CONFIG_ERROR
+        assert "26 exactly large subsets, above the limit of 14 rows" in capsys.readouterr().err
+    # enumerate without --out and color with --limit write no row per subset.
+    assert run_experiment(["enumerate", "--universe", "interval:2..8"]) == OK
+    assert run_experiment(["color", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..8", "--limit", "3"]) == OK

@@ -160,8 +160,22 @@ KM_TO_RT_REFUSED = [
                                          "--coloring", "second-mod-min", "--witness", "k6.json"]),
 ]
 
+# enumerate --out and color without --limit refuse, before writing, a
+# universe with more exactly large subsets than the row cap; color
+# applies enumerate's element cap first.
+ROW_CAP = [
+    ("enumerate-out-above-row-cap", ["enumerate", "--universe", "interval:2..60",
+                                     "--out", "big.csv"]),
+    ("color-above-row-cap", ["color", "--coloring", "parity-of-min",
+                             "--universe", "interval:2..60"]),
+    ("color-out-above-row-cap", ["color", "--coloring", "parity-of-min",
+                                 "--universe", "interval:2..60", "--out", "big.csv"]),
+    ("color-above-count-cap", ["color", "--coloring", "parity-of-min",
+                               "--universe", "interval:2..21500"]),
+]
+
 COMMANDS = (README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
-            + ERRORS + ROUND_TRIPS + COUNT_CAP + KM_TO_RT_REFUSED)
+            + ERRORS + ROUND_TRIPS + COUNT_CAP + KM_TO_RT_REFUSED + ROW_CAP)
 
 
 def _digests(root):

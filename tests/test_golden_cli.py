@@ -174,8 +174,22 @@ ROW_CAP = [
                                "--universe", "interval:2..21500"]),
 ]
 
+# comega chains whose universes hold entries on both sides of 46, the
+# least querying index: their stages color sets that lie wholly below
+# it and sets that reach past it.
+CROSSING = [
+    ("chain-comega-cross-8", ["search", "--mode", "chain", "--coloring", "comega",
+                              "--universe", "{2,3,4,5,6,7,8,46,47,48,49,50,51,52,53}",
+                              "--out-witness", "cross8.json"]),
+    ("verify-chain-comega-cross-8", ["verify", "--witness", "cross8.json"]),
+    ("chain-comega-cross-40", ["search", "--mode", "chain", "--coloring", "comega",
+                               "--universe", "{2,3,4,5,40,41,42,43,44,45,46,47,48,49}",
+                               "--out-witness", "cross40.json"]),
+    ("verify-chain-comega-cross-40", ["verify", "--witness", "cross40.json"]),
+]
+
 COMMANDS = (README + OTHERS + [_chain(spec, m) for spec in SPECS for m in (1, 2, 5)] + BENCH
-            + ERRORS + ROUND_TRIPS + COUNT_CAP + KM_TO_RT_REFUSED + ROW_CAP)
+            + ERRORS + ROUND_TRIPS + COUNT_CAP + KM_TO_RT_REFUSED + ROW_CAP + CROSSING)
 
 
 def _digests(root):

@@ -23,6 +23,7 @@ from .machines import (
     ExplicitOracle,
     OracleSet,
     ProgramSet,
+    _least_late_index,
     _least_querying_index,
     staged_jump_levels,
 )
@@ -483,15 +484,22 @@ def comega_coloring(A: OracleSet) -> ExactColoring:
     The dispatch runs level m's function without level m's memo: no
     level of the tower reads a tuple that starts with m, since a higher
     level reads level m only on tuples whose entries all lie above m.
-    So only a second top-level reader re-evaluates a set, such as a
-    chain's closing verify after the stage tables are freed (133 sets
-    on the chain over ``interval:2..21``)."""
+    So only a second top-level reader re-evaluates a set that reaches
+    the tower, such as a chain's closing verify after the stage tables
+    are freed.
+
+    A set with all entries below ``_least_late_index()`` (46) colors 1
+    without the tower: each program e <= k, k any guard, halts with
+    threshold e + 1 <= k + 1 or never, so no capture check at any level
+    fails, under any oracle (README, "Desk-scale degeneracy")."""
     level = cn_tower(A)
 
     def fn(s: ExactlyLargeSet) -> int:
         m = s.min()
         # s is validated and the caller's miss checks the palette.
-        return level(m)._fn(s.elems) if m >= 2 else 0
+        if m < 2:
+            return 0
+        return 1 if s.elems[-1] < _least_late_index() else level(m)._fn(s.elems)
 
     return ExactColoring(fn, palette=2, name="comega")
 

@@ -177,6 +177,16 @@ def _least_querying_index() -> int:
     return next(e for e in itertools.count() if not decode_program(e).query_free)
 
 
+@lru_cache(maxsize=1)
+def _least_late_index() -> int:
+    # The least index e whose program neither diverges nor halts on input
+    # 0 within e steps and values (threshold at most e + 1), else the least
+    # querying index: below it every program halts that soon or never.
+    querying = _least_querying_index()
+    return next((e for e in range(querying) if _simulate(
+        decode_program(e).instructions, EMPTY, 0, e, e)[0] == "cap"), querying)
+
+
 def load_program_universe(path) -> list[Program]:
     """Read a program-universe file: blocks separated by blank lines.
 
@@ -417,6 +427,7 @@ def clear_caches() -> None:
     _CONTENT_TOKENS.clear()
     decode_program.cache_clear()
     _least_querying_index.cache_clear()
+    _least_late_index.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -994,35 +994,115 @@ def test_shared_tower_matches_fresh_levels(A, queries, cleared):
         assert got == loop_chain(n, A)(tpl)
 
 
-def test_comega_evaluates_shared_lower_levels_once(monkeypatch):
+def _counting_capture_loops(monkeypatch):
     calls = []
     real = colorings._no_threshold_in
     monkeypatch.setattr(colorings, "_no_threshold_in",
                         lambda k, oracle, lo, hi: calls.append((k, lo, hi))
                         or real(k, oracle, lo, hi))
+    return calls
+
+
+def _recorded_towers(monkeypatch):
+    towers = []
+    real = colorings.cn_tower
+    monkeypatch.setattr(colorings, "cn_tower", lambda A: towers.append(real(A)) or towers[-1])
+    return towers
+
+
+def test_comega_evaluates_shared_lower_levels_once(monkeypatch):
+    # The last entries reach 46, so both sets go through the tower.
+    calls = _counting_capture_loops(monkeypatch)
+    sets = ((3, 5, 7, 49), (4, 5, 7, 49, 51))
     cw = comega_coloring(ExplicitOracle([1]))
-    cw(els(3, 5, 7, 9))
-    cw(els(4, 5, 7, 9, 11))
-    # Only level-2 tuples run the loop: the 4 of the first set, then the 9
-    # new ones of the second ((5, 7, 9) is shared).  A fresh chain per
-    # minimum with a loop at every level makes 21 runs.
-    assert calls.count((5, 7, 9)) == 1
-    assert len(calls) == len(set(calls)) == 13
+    assert [cw(els(*s)) for s in sets] == [1, 1]
+    # Only level-2 tuples run the loop, each 3-subset of a set once: the 4
+    # of the first set, then the 9 new ones of the second ((5, 7, 49) is
+    # shared).  A fresh chain per minimum with a loop at every level
+    # makes 21 runs.
+    triples = {t for s in sets for t in combinations(s, 3)}
+    assert calls.count((5, 7, 49)) == 1
+    assert len(calls) == len(set(calls)) == len(triples) == 13
+    assert {(k, y, z) for k, y, z in triples} == set(calls)
+
+
+def test_comega_below_the_bound_builds_no_tower(monkeypatch):
+    calls = _counting_capture_loops(monkeypatch)
+    towers = _recorded_towers(monkeypatch)
+    cw = comega_coloring(ExplicitOracle([1]))
+    assert cw(els(3, 5, 7, 9)) == cw(els(4, 5, 7, 9, 11)) == cw(els(2, 44, 45)) == 1
+    level, = towers
+    assert calls == [] and not any(len(level(n)) for n in (2, 3, 4))
 
 
 def test_comega_stores_a_stage_tuple_once(monkeypatch):
     # The stage table holds each set's color; the tower keeps only the
-    # levels below, so none of the stage tuples.
-    tuples = list(combinations(range(5, 14), 4))
-    c4, towers = cn_coloring(4, EMPTY), []
+    # levels below, so none of the stage tuples.  The sets that hold 46
+    # reach the tower, and each of its levels holds every subset of
+    # its size of those sets.
+    universe = (5, 6, 7, 8, 9, 10, 11, 12, 46)
+    tuples = list(combinations(universe, 4))
+    c4, towers = cn_coloring(4, EMPTY), _recorded_towers(monkeypatch)
     want = [c4((4,) + t) for t in tuples]
-    real = colorings.cn_tower
-    monkeypatch.setattr(colorings, "cn_tower", lambda A: towers.append(real(A)) or towers[-1])
-    stage = comega_coloring(EMPTY).at_min(4, FinSet(range(5, 14)))
+    stage = comega_coloring(EMPTY).at_min(4, FinSet(universe))
     assert list(stage.colors(tuples)) == want
     level, = towers
     assert len(level(2)) and len(level(3)) and not len(level(4))
     assert not {(4,) + t for t in tuples} & {t for n in (2, 3, 4) for t in level(n)}
+    crossing = [(4,) + t for t in tuples if t[-1] == 46]
+    for n in (2, 3):
+        assert set(level(n)) == {u for s in crossing for u in combinations(s, n + 1)}
+    # Every triple of the 10 elements lies in such a set; a 4-subset
+    # does unless it misses both 4 and 46.
+    assert len(level(2)) == comb(10, 3) and len(level(3)) == comb(10, 4) - comb(8, 4)
+
+
+def test_comega_stage_below_the_bound_builds_no_tower(monkeypatch):
+    tuples = list(combinations(range(5, 14), 4))
+    towers = _recorded_towers(monkeypatch)
+    stage = comega_coloring(EMPTY).at_min(4, FinSet(range(5, 14)))
+    assert list(stage.colors(tuples)) == [1] * len(tuples)
+    level, = towers
+    assert not any(len(level(n)) for n in (2, 3, 4))
+
+
+below_the_bound = st.integers(2, 7).flatmap(
+    lambda m: st.sets(st.integers(m + 1, 45), min_size=m, max_size=m).map(
+        lambda tail: (m,) + tuple(sorted(tail))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=oracles_st, elems=below_the_bound)
+def test_comega_below_the_bound_is_the_level_color(A, elems):
+    clear_caches()
+    assert elems[-1] < machines._least_late_index()
+    assert comega_coloring(A)(FinSet(elems)) == cn_coloring(elems[0], A)(elems) == 1
+
+
+def test_a_late_low_program_lowers_the_bound(monkeypatch):
+    # Program 10 (HALT; HALT; HALT) halts at once; made to halt after 19
+    # steps, its threshold is 20, so a capture check with guard k >= 10
+    # and stages y < 20 <= z fails.  The bound drops to 10, and a set
+    # that reaches it is colored by the tower.
+    late, real = machines.decode_program(10).instructions, machines._simulate
+
+    def simulate(instructions, oracle, x, step_cap, value_cap):
+        if instructions != late:
+            return real(instructions, oracle, x, step_cap, value_cap)
+        return ("halt", 19, 0, 0) if step_cap >= 19 else ("cap", step_cap, 0, None)
+
+    elems = (3, 10, 11, 20)
+    clear_caches()
+    assert machines._least_late_index() == 46 and comega_coloring(EMPTY)(FinSet(elems)) == 1
+    monkeypatch.setattr(machines, "_simulate", simulate)
+    try:
+        clear_caches()
+        assert machines._least_late_index() == 10
+        assert halt_threshold(10, EMPTY, 0, 20) == 20
+        assert comega_coloring(EMPTY)(FinSet(elems)) == cn_coloring(3, EMPTY)(elems) == 0
+        assert comega_coloring(EMPTY)(FinSet((3, 4, 5, 9))) == 1
+    finally:
+        clear_caches()
 
 
 comega_reads = st.tuples(st.integers(2, 5), st.integers(1, 44),

@@ -309,7 +309,10 @@ def _replay_witness(args) -> None:
                               f"to read") from None
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"--witness {args.witness!r}: not JSON: {exc}") from None
-    args.source = Witness.from_dict(data)
+    try:
+        args.source = Witness.from_dict(data)
+    except ValueError as exc:
+        raise ConfigError(f"--witness {args.witness!r}: {exc}") from None
     recorded = data.get("config") or {}
     if not isinstance(recorded, dict):
         raise ConfigError("the witness's config is not a JSON object")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from itertools import combinations, repeat
 from math import comb
-from operator import eq
+from operator import eq, lt
 from typing import NamedTuple, Optional
 
 from .colorings import ExactColoring, FiniteColoring, _pigeonhole, _Subsets
@@ -107,6 +107,11 @@ class Witness(_WitnessFields):
         if claimed and missing:
             raise ValueError(f"witness field {missing[0]!r} must be present when the budget "
                              f"holds {claimed[0]!r}")
+        for key, elems in (("set", d["set"]), ("chain_before_thinning",
+                                               fields.get("chain_before_thinning", ()))):
+            if not (all(type(x) is int for x in elems) and all(map(lt, (-1, *elems), elems))):
+                raise ValueError(f"witness field {key!r} must be strictly increasing "
+                                 f"naturals, got {elems!r}")
         return cls(
             set=FinSet(d["set"]),
             kind=d["kind"],

@@ -868,6 +868,47 @@ def test_bad_set_literal_names_the_flag_and_the_spec(capsys, verb, flag, spec):
     assert capsys.readouterr().err == f"config error: {BAD_SET_SPECS[verb, flag, spec]}\n"
 
 
+# Configuration errors, each raised by its own line of the CLI.  {tmp}
+# stands for the test's directory; a config file, when given, is written
+# to {tmp}/exp.ini.  A mode or direction from a config file skips
+# argparse's choices, so the verb itself refuses it.
+CONFIG_ERRORS = {
+    "malformed-universe": (["enumerate", "--universe", "interval:2-8"], None,
+                           "malformed universe: 'interval:2-8'"),
+    "unknown-oracle": (["search", "--coloring", "dh", "--universe", "evens:2..12",
+                        "--oracle", "full"], None, "unknown oracle: 'full'"),
+    "sum-mod-1": (["search", "--coloring", "sum-mod:1", "--universe", "interval:2..8"], None,
+                  "sum-mod modulus must be at least 2"),
+    "unknown-mode": (["search", "--config", "{tmp}/exp.ini", "--coloring", "parity-of-min",
+                      "--universe", "interval:2..8"], "[experiment]\nmode = sideways\n",
+                     "unknown mode: 'sideways'"),
+    "unknown-direction": (["reduce", "--config", "{tmp}/exp.ini", "--coloring", "parity-of-min",
+                           "--witness", "{tmp}/w.json"], "[experiment]\ndirection = up\n",
+                          "unknown direction: 'up'"),
+    "missing-coloring": (["search", "--universe", "interval:2..8"], None,
+                         "missing required option --coloring"),
+    "unreadable-config": (["enumerate", "--universe", "interval:2..8",
+                           "--config", "{tmp}/none.ini"], None,
+                          "cannot read config file: {tmp}/none.ini"),
+    "config-without-experiment": (["enumerate", "--universe", "interval:2..8",
+                                   "--config", "{tmp}/exp.ini"], "[search]\nk = 3\n",
+                                  "config file needs an [experiment] section"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_error_exits_2_with_its_message(tmp_path, capsys, case):
+    argv, config, message = CONFIG_ERRORS[case]
+    assert run_experiment(["search", "--coloring", "parity-of-min", "--universe",
+                           "interval:2..8", "--out-witness", str(tmp_path / "w.json")]) == OK
+    if config is not None:
+        (tmp_path / "exp.ini").write_text(config)
+    capsys.readouterr()
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert run_experiment(argv) == CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: {message.format(tmp=tmp_path)}\n")
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("color", "0", "witness field 'color' must be an integer or null, got '0'"),
     ("color", True, "witness field 'color' must be an integer or null, got True"),
@@ -900,7 +941,7 @@ def test_witness_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, fie
     w.write_text(json.dumps(payload))
     capsys.readouterr()
     assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: --witness {str(w)!r}: {message}\n"
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -918,7 +959,28 @@ def test_witness_of_an_unknown_kind_or_schema_is_a_config_error(tmp_path, capsys
     w.write_text(json.dumps(payload))
     capsys.readouterr()
     assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: --witness {str(w)!r}: {message}\n"
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("set", {"set": [4, 2]}),
+    ("set", {"set": [2, 2]}),
+    ("set", {"set": [-1, 3]}),
+    ("chain_before_thinning", {"budget": {"chain_before_thinning": [3, 2],
+                                          "stages": [{"a": 3, "color": 1}]}}),
+])
+def test_a_witness_list_that_does_not_increase_names_its_field(tmp_path, capsys, field, edit):
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..14", "--out-witness", str(w)]) == OK
+    payload = {**json.loads(w.read_text()), **edit}
+    w.write_text(json.dumps(payload))
+    elems = payload["set"] if field == "set" else payload["budget"][field]
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
+    assert capsys.readouterr() == ("", f"config error: --witness {str(w)!r}: witness field "
+                                       f"{field!r} must be strictly increasing naturals, "
+                                       f"got {elems!r}\n")
 
 
 def _tampered(tmp_path, argv, edit):
@@ -1140,8 +1202,9 @@ def test_a_chain_budget_without_its_chain_or_stages_names_the_missing_field(
     w = _tampered(tmp_path, _CHAIN, lambda p: p.update(budget=budget))
     capsys.readouterr()
     assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
-    assert capsys.readouterr().err == (f"config error: witness field {missing!r} must be "
-                                       f"present when the budget holds {held!r}\n")
+    assert capsys.readouterr().err == (f"config error: --witness {str(w)!r}: witness field "
+                                       f"{missing!r} must be present when the budget "
+                                       f"holds {held!r}\n")
 
 
 def test_a_chain_budget_without_chain_fields_claims_no_chain(tmp_path):

@@ -489,9 +489,9 @@ def comega_coloring(A: OracleSet) -> ExactColoring:
     are freed.
 
     A set with all entries below ``_least_late_index()`` (46) colors 1
-    without the tower: each program e <= k, k any guard, halts with
-    threshold e + 1 <= k + 1 or never, so no capture check at any level
-    fails, under any oracle (README, "Desk-scale degeneracy")."""
+    without the tower: for any guard k, each program e <= k halts with
+    threshold at most e + 1 <= k + 1 or never, so no capture check at
+    any level fails, under any oracle (README, "Desk-scale degeneracy")."""
     level = cn_tower(A)
 
     def fn(s: ExactlyLargeSet) -> int:

@@ -1023,7 +1023,7 @@ def test_comega_evaluates_shared_lower_levels_once(monkeypatch):
     triples = {t for s in sets for t in combinations(s, 3)}
     assert calls.count((5, 7, 49)) == 1
     assert len(calls) == len(set(calls)) == len(triples) == 13
-    assert {(k, y, z) for k, y, z in triples} == set(calls)
+    assert set(calls) == triples
 
 
 def test_comega_below_the_bound_builds_no_tower(monkeypatch):

@@ -290,8 +290,10 @@ def _cmd_search(args) -> int:
     return OK
 
 
-# Recorded config keys a witness replays, with the type each must have.
-_REPLAYED_KEYS = {"coloring": str, "seed": int, "oracle": str, "programs": str}
+# Recorded config keys a witness replays, with the type each must have
+# and its name in an error.
+_REPLAYED_KEYS = {"coloring": (str, "a string"), "seed": (int, "an integer"),
+                  "oracle": (str, "a string"), "programs": (str, "a string")}
 
 
 def _replay_witness(args) -> None:
@@ -315,14 +317,15 @@ def _replay_witness(args) -> None:
         raise ConfigError(f"--witness {args.witness!r}: {exc}") from None
     recorded = data.get("config") or {}
     if not isinstance(recorded, dict):
-        raise ConfigError("the witness's config is not a JSON object")
-    for key, kind in _REPLAYED_KEYS.items():
+        raise ConfigError(f"--witness {args.witness!r}: the witness's config is not "
+                          f"a JSON object")
+    for key, (kind, words) in _REPLAYED_KEYS.items():
         if key in args.given or key not in recorded:
             continue
         value = recorded[key]
         if value is not None and not isinstance(value, kind):
-            raise ConfigError(f"the witness's recorded {key} is not a "
-                              f"{kind.__name__}: {value!r}")
+            raise ConfigError(f"--witness {args.witness!r}: the witness's recorded {key} "
+                              f"is not {words}: {value!r}")
         setattr(args, key, value)
 
 

@@ -24,7 +24,6 @@ from .machines import (
     OracleSet,
     ProgramSet,
     _least_late_index,
-    _least_querying_index,
     staged_jump_levels,
 )
 
@@ -413,34 +412,26 @@ def c2_coloring(A: OracleSet, direction: str = "capture") -> FiniteColoring:
     return FiniteColoring(3, fn, name=f"c2[{direction}]")
 
 
-def cn_from(prev: FiniteColoring, A: OracleSet,
-            c2: Optional[FiniteColoring] = None) -> FiniteColoring:
+def cn_from(prev: FiniteColoring, A: OracleSet) -> FiniteColoring:
     """One level up from a given stage-comparison coloring: the new
     color is 1 iff the tuple is homogeneous for the previous level and
     the capture implication holds between the second and third entries
     relative to the decoder-approximated oracle built from the tail.
 
-    ``c2``, if given, must be A's capture-mode level-2 coloring.  When
-    every index up to the first entry is query-free, the check cannot
-    see the approximation, so it is c2's (memoized) color of the first
-    three entries.  Without ``c2`` the check always runs.
-
     The function reads the levels below through their memos, bound when
     the level is built.  Under ``comega_coloring`` the caller's memo
-    holds the top level and the tower only the levels below.
+    holds the top level and the tower only the levels below.  The
+    capture check is ``_no_threshold_in``'s, which skips the indices no
+    oracle can move, so a guard below ``_least_late_index()`` (46)
+    consults no run at all.
     """
     dim, below = prev.dimension + 1, prev.__getitem__
-    # c2's memo alone reads tpl[:3]: tpl's entries passed its caller's checks.
-    shortcut = None if c2 is None else c2.__getitem__
-    querying = _least_querying_index()
 
     def fn(tpl):
         colors = map(below, combinations(tpl, dim - 1))
         first = next(colors)
         if any(map(ne, colors, repeat(first))):
             return 0
-        if shortcut is not None and tpl[0] < querying:
-            return shortcut(tpl[:3])
         # The approximating oracle runs the decoder one level below the
         # coloring being built, on the tail tuple.
         y = _ApproxJumpOracle(prev.dimension - 1, tpl[1:], A)
@@ -451,16 +442,16 @@ def cn_from(prev: FiniteColoring, A: OracleSet,
 
 def cn_tower(A: OracleSet) -> Callable[[int], FiniteColoring]:
     """Lazy access to the stage-comparison levels over one oracle: level
-    2 is the capture-mode c2 and level n is ``cn_from`` of level n-1,
-    with c2 shared.  Each level is built once, so the homogeneity checks
-    of every level read the memo of the level below."""
+    2 is the capture-mode c2 and level n is ``cn_from`` of level n-1.
+    Each level is built once, so the homogeneity checks of every level
+    read the memo of the level below."""
     levels = [c2_coloring(A, "capture")]
 
     def level(n: int) -> FiniteColoring:
         if n < 2:
             raise ValueError("levels start at 2")
         while len(levels) <= n - 2:
-            levels.append(cn_from(levels[-1], A, levels[0]))
+            levels.append(cn_from(levels[-1], A))
         return levels[n - 2]
 
     return level
@@ -491,7 +482,9 @@ def comega_coloring(A: OracleSet) -> ExactColoring:
     A set with all entries below ``_least_late_index()`` (46) colors 1
     without the tower: for any guard k, each program e <= k halts with
     threshold at most e + 1 <= k + 1 or never, so no capture check at
-    any level fails, under any oracle (README, "Desk-scale degeneracy")."""
+    any level fails, under any oracle (README, "Desk-scale degeneracy").
+    The tower's capture checks would consult no run for such a set
+    either; the dispatch also skips their homogeneity recursion."""
     level = cn_tower(A)
 
     def fn(s: ExactlyLargeSet) -> int:

@@ -21,6 +21,7 @@ from .machines import (
     CutoffJumpOracle,
     OracleSet,
     ProgramSet,
+    _least_late_index,
     halt_threshold,
     mone_reduction,
     staged_jump,
@@ -38,9 +39,12 @@ def _no_threshold_in(k: int, oracle: OracleSet, lo: int, hi: int) -> bool:
     under bound lo, that is, none has its threshold in (lo, hi].
 
     The threshold is the least halting bound, so one call per index at
-    bound hi answers both bounds.
+    bound hi answers both bounds.  An index below ``_least_late_index()``
+    halts with threshold e + 1 under every oracle or never, so it has its
+    threshold in (lo, hi] only when e >= lo: the loop starts at the
+    lesser of that bound and lo (README, "Desk-scale degeneracy").
     """
-    for e in range(k + 1):
+    for e in range(min(_least_late_index(), lo), k + 1):
         tau = halt_threshold(e, oracle, 0, hi)
         if tau is not None and tau > lo:
             return False

@@ -122,12 +122,6 @@ class Program:
     def __eq__(self, other) -> bool:
         return isinstance(other, Program) and self.instructions == other.instructions
 
-    def __hash__(self) -> int:
-        return hash(self.instructions)
-
-    def __len__(self) -> int:
-        return len(self.instructions)
-
     def __repr__(self) -> str:
         body = ", ".join(f"({_OPS[op]}, {reg}, {off})" for op, reg, off in self.instructions)
         return f"Program([{body}])"
@@ -344,9 +338,9 @@ def _simulate(instructions, oracle: OracleSet, x: int, step_cap: int, value_cap:
         elif op == JZ:
             pc = pc + off if r[reg] == 0 else pc + 1
         else:  # QUERY
+            # v <= 1 <= value_cap: every caller passes value_cap ==
+            # step_cap, and a step runs only when step_cap >= 1.
             v = 1 if oracle.member(r[reg]) else 0
-            if v > value_cap:
-                return ("cap", steps, maxval, None)
             r[reg] = v
             if v > maxval:
                 maxval = v

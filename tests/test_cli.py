@@ -944,6 +944,27 @@ def test_witness_field_of_the_wrong_type_is_a_config_error(tmp_path, capsys, fie
     assert capsys.readouterr().err == f"config error: --witness {str(w)!r}: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda config: {**config, "seed": "3"},
+                 "--witness {w!r}: the witness's recorded seed is not an integer: '3'",
+                 id="string-seed"),
+    pytest.param(lambda config: [1],
+                 "--witness {w!r}: the witness's config is not a JSON object", id="list"),
+    pytest.param(lambda config: {k: v for k, v in config.items() if k != "coloring"},
+                 "no coloring given and none recorded in the witness", id="no-coloring"),
+])
+def test_a_bad_recorded_config_is_a_config_error(tmp_path, capsys, edit, message):
+    w = tmp_path / "w.json"
+    assert run_experiment(["search", "--coloring", "parity-of-min",
+                           "--universe", "interval:2..14", "--out-witness", str(w)]) == OK
+    payload = json.loads(w.read_text())
+    payload["config"] = edit(payload["config"])
+    w.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_experiment(["verify", "--witness", str(w)]) == CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message.format(w=str(w))}\n"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("kind", "bogus", "unknown witness kind: 'bogus'"),
     ("schema", "xlramsey.witness/99", "unknown witness schema: 'xlramsey.witness/99'"),

@@ -4,17 +4,18 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 from itertools import accumulate, combinations, islice, repeat
 from math import comb
 from operator import eq, getitem
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import UnkeyedOracle, crc_bit, random_regressive_coloring
 
-from xlramsey import colorings, machines
+from xlramsey import colorings, decoders, machines
 from xlramsey.colorings import (
     ExactColoring,
     FiniteColoring,
@@ -72,6 +73,21 @@ def test_exact_coloring_accepts_set_shapes():
     assert c((1, 9)) == 1
     with pytest.raises(ValueError):
         c(FinSet([3, 4]))
+
+
+def test_an_int_subclass_read_gets_the_plain_tuples_color():
+    # An int subclass that is not bool passes FinSet: such a read is
+    # validated once and shares the plain tuple's memo entry.
+    class Int(int):
+        pass
+
+    evaluated = []
+    c = ExactColoring(lambda s: evaluated.append(s.elems) or s.elems[-1] % 2)
+    assert c((2, 5, 8)) == 0 and c((Int(2), Int(5), 8)) == 0
+    assert c((Int(2), 5, Int(7))) == 1 and c((2, 5, 7)) == 1
+    assert evaluated == [(2, 5, 8), (2, 5, 7)] and len(c) == 2
+    with pytest.raises(ValueError):
+        c((Int(3), 5, 7))
 
 
 def test_exact_coloring_rejects_bad_input_on_every_call():
@@ -856,18 +872,6 @@ def test_cn_from_rejects_non_homogeneous_tuples():
     assert c4((4, 5, 7, 9)) == 1
 
 
-def test_cn_from_reads_capture_check_from_c2_below_first_query():
-    # A planted level 2 shows which path runs: its color below the least
-    # querying index, the capture loop (which passes here) from it on.
-    q = machines._least_querying_index()
-    prev = FiniteColoring(3, lambda t: 1)
-    planted = FiniteColoring(3, lambda t: 0)
-    shortcut, loop = cn_from(prev, EMPTY, planted), cn_from(prev, EMPTY)
-    below, at = (q - 1, q + 4, q + 14, q + 24), (q, q + 4, q + 14, q + 24)
-    assert shortcut(below) == 0 and loop(below) == 1
-    assert shortcut(at) == loop(at) == 1
-
-
 def test_c3_matches_hand_unrolled_evaluation():
     A = ExplicitOracle([0, 2])
     c3 = cn_coloring(3, A)
@@ -910,6 +914,56 @@ oracles_st = st.builds(
        A=oracles_st)
 def test_capture_loop_matches_two_call_reference(k, lo, width, A):
     assert _no_threshold_in(k, A, lo, lo + width) == capture_reference(k, A, lo, lo + width)
+
+
+def _counting_runs(monkeypatch):
+    # The indices whose runs a capture check consults.
+    runs = []
+    real = decoders.halt_threshold
+    monkeypatch.setattr(decoders, "halt_threshold",
+                        lambda e, oracle, x, cap: runs.append(e) or real(e, oracle, x, cap))
+    return runs
+
+
+def test_capture_loop_skips_the_indices_no_oracle_can_move(monkeypatch):
+    # Below the late bound (46) an index halts with threshold e + 1 or
+    # never, so the loop starts at the lesser of the bound and lo.
+    runs, late = _counting_runs(monkeypatch), machines._least_late_index()
+    for k, lo, hi in ((3, 5, 9), (45, 44, 45), (50, 60, 61), (60, 70, 90), (40, 60, 61)):
+        runs.clear()
+        assert _no_threshold_in(k, ExplicitOracle([1]), lo, hi)
+        assert runs == list(range(min(late, lo), k + 1))
+
+
+@contextmanager
+def _program_10_halting_late():
+    # Program 10 (HALT; HALT; HALT) halts at once; made to halt after 19
+    # steps, its threshold is 20, and the late bound drops to 10.
+    late, real = machines.decode_program(10).instructions, machines._simulate
+
+    def simulate(instructions, oracle, x, step_cap, value_cap):
+        if instructions != late:
+            return real(instructions, oracle, x, step_cap, value_cap)
+        return ("halt", 19, 0, 0) if step_cap >= 19 else ("cap", step_cap, 0, None)
+
+    machines._simulate = simulate
+    clear_caches()
+    try:
+        yield
+    finally:
+        machines._simulate = real
+        clear_caches()
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 60), lo=st.integers(0, 60), width=st.integers(1, 30), A=oracles_st)
+@example(k=15, lo=12, width=13, A=EMPTY)
+def test_capture_loop_matches_the_reference_under_a_lower_late_bound(k, lo, width, A):
+    # With index 10 late, a guard k >= 10 must still consult it when lo
+    # lies above 10: its threshold 20 may lie in (lo, lo + width].
+    with _program_10_halting_late():
+        assert machines._least_late_index() == 10
+        assert _no_threshold_in(k, A, lo, lo + width) == capture_reference(k, A, lo, lo + width)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1012,18 +1066,24 @@ def _recorded_towers(monkeypatch):
 
 def test_comega_evaluates_shared_lower_levels_once(monkeypatch):
     # The last entries reach 46, so both sets go through the tower.
-    calls = _counting_capture_loops(monkeypatch)
+    calls, towers = _counting_capture_loops(monkeypatch), _recorded_towers(monkeypatch)
+    runs = _counting_runs(monkeypatch)
     sets = ((3, 5, 7, 49), (4, 5, 7, 49, 51))
     cw = comega_coloring(ExplicitOracle([1]))
     assert [cw(els(*s)) for s in sets] == [1, 1]
-    # Only level-2 tuples run the loop, each 3-subset of a set once: the 4
-    # of the first set, then the 9 new ones of the second ((5, 7, 49) is
-    # shared).  A fresh chain per minimum with a loop at every level
-    # makes 21 runs.
+    level, = towers
+    # Level 2 holds every 3-subset of the two sets ((5, 7, 49) is shared)
+    # and level 3 the 4-subsets of the second; each set itself is its top
+    # level's, stored by the caller alone.
     triples = {t for s in sets for t in combinations(s, 3)}
-    assert calls.count((5, 7, 49)) == 1
-    assert len(calls) == len(set(calls)) == len(triples) == 13
-    assert set(calls) == triples
+    quads = set(combinations(sets[1], 4))
+    assert set(level(2)) == triples and len(triples) == 13
+    assert set(level(3)) == quads and len(quads) == 5 and not len(level(4))
+    # Every color is 1, so each evaluation runs its capture check once.
+    assert len(calls) == len(triples) + len(quads) + len(sets)
+    # Every guard lies below 46 and below its tuple's second entry, so
+    # no check consults a run.
+    assert runs == []
 
 
 def test_comega_below_the_bound_builds_no_tower(monkeypatch):
@@ -1079,30 +1139,18 @@ def test_comega_below_the_bound_is_the_level_color(A, elems):
     assert comega_coloring(A)(FinSet(elems)) == cn_coloring(elems[0], A)(elems) == 1
 
 
-def test_a_late_low_program_lowers_the_bound(monkeypatch):
-    # Program 10 (HALT; HALT; HALT) halts at once; made to halt after 19
-    # steps, its threshold is 20, so a capture check with guard k >= 10
-    # and stages y < 20 <= z fails.  The bound drops to 10, and a set
+def test_a_late_low_program_lowers_the_bound():
+    # A capture check with guard k >= 10 and stages y < 20 <= z fails
+    # once program 10's threshold is 20.  The bound drops to 10, and a set
     # that reaches it is colored by the tower.
-    late, real = machines.decode_program(10).instructions, machines._simulate
-
-    def simulate(instructions, oracle, x, step_cap, value_cap):
-        if instructions != late:
-            return real(instructions, oracle, x, step_cap, value_cap)
-        return ("halt", 19, 0, 0) if step_cap >= 19 else ("cap", step_cap, 0, None)
-
     elems = (3, 10, 11, 20)
     clear_caches()
     assert machines._least_late_index() == 46 and comega_coloring(EMPTY)(FinSet(elems)) == 1
-    monkeypatch.setattr(machines, "_simulate", simulate)
-    try:
-        clear_caches()
+    with _program_10_halting_late():
         assert machines._least_late_index() == 10
         assert halt_threshold(10, EMPTY, 0, 20) == 20
         assert comega_coloring(EMPTY)(FinSet(elems)) == cn_coloring(3, EMPTY)(elems) == 0
         assert comega_coloring(EMPTY)(FinSet((3, 4, 5, 9))) == 1
-    finally:
-        clear_caches()
 
 
 comega_reads = st.tuples(st.integers(2, 5), st.integers(1, 44),

@@ -3,8 +3,11 @@ from itertools import combinations
 import pytest
 
 from xlramsey.colorings import c2_coloring, cn_coloring, dh_coloring
+from xlramsey import decoders
 from xlramsey.decoders import (
     DecodeVerdict,
+    _ApproxJumpOracle,
+    _lex_least_tuple,
     adequate_tuple,
     dh_reconstruct,
     halt0_tower_member,
@@ -228,3 +231,24 @@ def test_dh_reconstruct_validation():
         dh_reconstruct(FinSet([4, 61]), 4, EMPTY)
     with pytest.raises(ValueError):
         dh_reconstruct(FinSet([60, 80]), 4, EMPTY)
+
+
+def test_approx_oracle_holds_nothing_above_its_first_entry(monkeypatch):
+    A, tpl = ExplicitOracle([1]), (5, 9, 14)
+    runs = []
+    monkeypatch.setattr(decoders, "mn_raw", lambda *args: runs.append(args) or True)
+    y = _ApproxJumpOracle(2, tpl, A)
+    assert not y.member(6) and not y.member(100) and runs == []
+    assert y.member(5) and y.member(5) and runs == [(2, 5, tpl, A)]
+
+
+def test_lex_least_tuple_skips_minima_below_h():
+    # Sets with minimum 2 and 3 come first in the enumeration; (2, 5, 6)
+    # would match the entry bound, but only minimum 4 counts.  No set
+    # with minimum 4 has a second entry above 7, and the first with
+    # minimum 5, (5, 6, 7, 8, 9, 10), ends the search; without 10 there
+    # is none, and the enumeration runs out.
+    H = FinSet(range(2, 11))
+    assert _lex_least_tuple(H, 4, 1, 4) == (4, 5, 6, 7, 8)
+    assert _lex_least_tuple(H, 4, 1, 7) is None
+    assert _lex_least_tuple(H.below(10), 4, 1, 6) is None

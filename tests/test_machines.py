@@ -114,6 +114,19 @@ def test_program_text_roundtrip():
             Program([bad])
 
 
+def test_program_text_skips_blank_and_comment_lines():
+    text = "# bump, then stop\n\nINC 0  # register 0\n   \n# done\nHALT\n"
+    assert Program.parse(text) == Program([(INC, 0, 0), (HALT, 0, 0)])
+
+
+def test_program_universe_file_skips_empty_blocks(tmp_path):
+    path = tmp_path / "programs.txt"
+    path.write_text("17\n\n# a block of comments only\n\n\n\nHALT\n\n")
+    from xlramsey.machines import load_program_universe
+
+    assert load_program_universe(path) == [decode_program(17), Program([(HALT, 0, 0)])]
+
+
 def test_program_universe_file(tmp_path):
     path = tmp_path / "programs.txt"
     path.write_text("# curated list\n17\n\nINC 0\nHALT\n\n1\n")

@@ -22,7 +22,6 @@ from .largesets import ExactlyLargeSet, FinSet
 from .machines import (
     ExplicitOracle,
     OracleSet,
-    ProgramSet,
     _least_late_index,
     staged_jump_levels,
 )
@@ -557,7 +556,7 @@ def dh_coloring(X: OracleSet, programs=None) -> ExactColoring:
     jump approximations, read at stages taken from the middle and the
     top of the tuple, disagree below the tuple's bounding entry.  Odd
     minima color 0 (the value is irrelevant there)."""
-    folds = _Folds(X, None if programs is None else ProgramSet(programs))
+    folds = _Folds(X, None if programs is None else frozenset(programs))
 
     def fn(s: ExactlyLargeSet) -> int:
         return 1 if _least_disagreement_level(folds, s.elems) else 0
@@ -568,7 +567,7 @@ def dh_coloring(X: OracleSet, programs=None) -> ExactColoring:
 def km_dh_coloring(X: OracleSet, programs=None) -> RegressiveColoring:
     """Regressive variant: the least disagreeing level itself (0 when
     none).  Regressive because the level is at most half the minimum."""
-    folds = _Folds(X, None if programs is None else ProgramSet(programs))
+    folds = _Folds(X, None if programs is None else frozenset(programs))
 
     def fn(s: ExactlyLargeSet) -> int:
         return _least_disagreement_level(folds, s.elems)

@@ -20,7 +20,6 @@ from .largesets import FinSet, enumerate_exactly_large
 from .machines import (
     CutoffJumpOracle,
     OracleSet,
-    ProgramSet,
     _least_late_index,
     halt_threshold,
     mone_reduction,
@@ -249,7 +248,7 @@ def dh_reconstruct(
         raise ValueError("H must consist of even numbers")
     n = h // 2
     above = H.above(h).elems
-    programs = None if programs is None else ProgramSet(programs)
+    programs = None if programs is None else frozenset(programs)
 
     base_probe = code_bound if code_bound is not None else (max(H.elems) if H.elems else 0)
     level0 = FinSet([c for c in range(base_probe) if X.member(c)])

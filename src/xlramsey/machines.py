@@ -178,7 +178,7 @@ def _least_late_index() -> int:
     # querying index: below it every program halts that soon or never.
     querying = _least_querying_index()
     return next((e for e in range(querying) if _simulate(
-        decode_program(e).instructions, EMPTY, 0, e, e)[0] == "cap"), querying)
+        decode_program(e).instructions, EMPTY, 0, e)[0] == "cap"), querying)
 
 
 def load_program_universe(path) -> list[Program]:
@@ -205,21 +205,6 @@ def load_program_universe(path) -> list[Program]:
 # ---------------------------------------------------------------------------
 # oracles
 
-_CONTENT_TOKENS: dict[tuple, int] = {}
-# Never restarts, so a token handed out before clear_caches (such as the
-# one in EMPTY's key) is never handed out again for other contents.
-_NEXT_TOKEN = itertools.count()
-
-
-def _content_token(elems: tuple) -> int:
-    # Interns set contents so cache keys hash in O(1).  setdefault is
-    # atomic, so threads racing on new contents agree on one token.
-    tok = _CONTENT_TOKENS.get(elems)
-    if tok is None:
-        tok = _CONTENT_TOKENS.setdefault(elems, next(_NEXT_TOKEN))
-    return tok
-
-
 class OracleSet:
     """A pure membership predicate on naturals.
 
@@ -237,17 +222,18 @@ class OracleSet:
 
 
 class ExplicitOracle(OracleSet):
-    """Membership in an explicit finite set."""
+    """Membership in an explicit finite set, keyed by its contents."""
 
     def __init__(self, elems: Iterable[int] = ()):
         self.elems = tuple(sorted(set(elems)))
         self._set = frozenset(self.elems)
-        self._key = self.key_of(self.elems)
+        self._key = self.key_of(self._set)
 
     @staticmethod
-    def key_of(elems: tuple) -> tuple:
-        """The key of the oracle on these sorted distinct elements."""
-        return ("fin", _content_token(elems))
+    def key_of(elems: Iterable[int]) -> tuple:
+        """The key of the oracle on these elements: a frozenset, whose
+        hash is computed once, so a cache lookup under it is O(1)."""
+        return ("fin", frozenset(elems))
 
     def member(self, n: int) -> bool:
         return n in self._set
@@ -297,12 +283,13 @@ class RunOutcome(NamedTuple):
         return self.value is not None
 
 
-def _simulate(instructions, oracle: OracleSet, x: int, step_cap: int, value_cap: int):
+def _simulate(instructions, oracle: OracleSet, x: int, step_cap: int):
     """Run until HALT, detected divergence, or a cap.
 
     Returns (status, steps, maxval, y) with status one of "halt",
     "diverge" (pc left the program or the state cycled), or "cap"
-    (step or value cap reached; behavior beyond is unknown).
+    (step_cap steps taken or an INC past step_cap; behavior beyond is
+    unknown).
     """
     n = len(instructions)
     r = [x, 0, 0, 0]
@@ -325,7 +312,7 @@ def _simulate(instructions, oracle: OracleSet, x: int, step_cap: int, value_cap:
             return ("halt", steps, maxval, r[0])
         if op == INC:
             v = r[reg] + 1
-            if v > value_cap:
+            if v > step_cap:
                 return ("cap", steps, maxval, None)
             r[reg] = v
             if v > maxval:
@@ -338,8 +325,6 @@ def _simulate(instructions, oracle: OracleSet, x: int, step_cap: int, value_cap:
         elif op == JZ:
             pc = pc + off if r[reg] == 0 else pc + 1
         else:  # QUERY
-            # v <= 1 <= value_cap: every caller passes value_cap ==
-            # step_cap, and a step runs only when step_cap >= 1.
             v = 1 if oracle.member(r[reg]) else 0
             r[reg] = v
             if v > maxval:
@@ -365,7 +350,7 @@ def run_bounded(e: int, oracle: OracleSet, x: int, s: int) -> RunOutcome:
     if s <= 0 or e >= s or x >= s:
         return RunOutcome(None, 0, x)
     status, steps, maxval, y = _simulate(
-        decode_program(e).instructions, oracle, x, s - 1, s - 1
+        decode_program(e).instructions, oracle, x, s - 1
     )
     if status == "halt":
         return RunOutcome(y, steps, maxval)
@@ -400,7 +385,7 @@ def halt_threshold(e: int, oracle: OracleSet, x: int, cap: int) -> Optional[int]
         entry = _THRESHOLD_CACHE.get(mkey)
     if entry is None or (entry[1] is None and 0 <= entry[0] < cap):
         status, steps, maxval, y = _simulate(
-            decode_program(e).instructions, oracle, x, cap - 1, cap - 1
+            decode_program(e).instructions, oracle, x, cap - 1
         )
         if status == "halt":
             entry = (cap, max(e, x, y, steps, maxval) + 1)
@@ -415,10 +400,9 @@ def halt_threshold(e: int, oracle: OracleSet, x: int, cap: int) -> Optional[int]
 
 
 def clear_caches() -> None:
-    """Drop all memoized run and jump data and the interned set contents."""
+    """Drop all memoized run and jump data and the decoded programs."""
     _THRESHOLD_CACHE.clear()
     _JUMP_CACHE.clear()
-    _CONTENT_TOKENS.clear()
     decode_program.cache_clear()
     _least_querying_index.cache_clear()
     _least_late_index.cache_clear()
@@ -428,22 +412,6 @@ def clear_caches() -> None:
 # jumps
 
 _JUMP_CACHE: dict[tuple, tuple] = {}  # staged-jump steps, see staged_jump_levels
-
-
-class ProgramSet(frozenset):
-    """A set of program indices that carries its jump-cache key, computed
-    once, so repeated staged-jump calls with it skip sorting and interning."""
-
-    def __init__(self, indices=()):
-        self.token = _content_token(tuple(sorted(self)))
-
-
-def _programs_token(programs) -> Optional[int]:
-    if programs is None:
-        return None
-    if isinstance(programs, ProgramSet):
-        return programs.token
-    return _content_token(tuple(sorted(set(programs))))
 
 
 def jump_pairs_approx(oracle: OracleSet, s: int, programs=None) -> FinSet:
@@ -470,19 +438,19 @@ def staged_jump_levels(oracle: OracleSet, stages, programs=None) -> Iterator[Fin
     being level 0.  Lazy, so a caller that stops early folds no further.
 
     A step is memoized in the jump cache under (previous level's oracle
-    key, stage, programs token) with its result's oracle key, so a hit
-    is one lookup and builds no oracle.  A step at a stage of at most
-    the least querying index runs only query-free programs, all below
-    the stage, so its jump set is the same over every oracle: it is
-    keyed (stage, programs token), as ``halt_threshold`` keys a
+    key, stage, program set as a frozenset) with its result's oracle
+    key, so a hit is one lookup and builds no oracle.  A step at a stage
+    of at most the least querying index runs only query-free programs,
+    all below the stage, so its jump set is the same over every oracle:
+    it is keyed (stage, program set), as ``halt_threshold`` keys a
     query-free run (e, x).  Over an oracle without a key the first step
     runs afresh.
     """
-    ptok = _programs_token(programs)
+    pkey = None if programs is None else frozenset(programs)
     blind = _least_querying_index()
     over, okey = oracle, oracle.key
     for u in stages:
-        ckey = None if okey is None else (u, ptok) if u <= blind else (okey, u, ptok)
+        ckey = None if okey is None else (u, pkey) if u <= blind else (okey, u, pkey)
         step = None if ckey is None else _JUMP_CACHE.get(ckey)
         if step is None:
             if over is None:

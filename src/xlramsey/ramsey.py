@@ -593,9 +593,9 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
     previous stage's set without its minimum) by the exact coloring
     applied to the tuple with a_i prepended; extraction supplies the stage's
     homogeneous set, whose minimum becomes the next chain element.  The
-    chain stops when a stage search fails inside its budget, and
-    ``chain_witness`` thins it.  A given ``start`` must be a universe
-    element.
+    chain stops when the universe left is shorter than the last chain
+    element, and ``chain_witness`` thins it.  A given ``start`` must be
+    a universe element.
     """
     if not universe:
         raise ValueError("universe must be nonempty")
@@ -610,9 +610,9 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
     while len(current) >= chain[-1]:
         a = chain[-1]
         stage_universe = FinSet(current)
+        # A stage universe has at least a >= 2 elements, so its branch
+        # reaches length a and the extraction has a set and a color.
         w = f_a_extract(a, c.at_min(a, stage_universe), stage_universe, len(current), budget)
-        if not w.set or w.color is None:
-            break
         stages.append({
             "a": a, "size": len(w.set), "color": w.color, "verified": w.verified,
         })

@@ -34,15 +34,27 @@ from xlramsey.decoders import _no_threshold_in, mn_raw
 from xlramsey.largesets import ExactlyLargeSet, FinSet, enumerate_exactly_large
 from xlramsey.machines import (
     EMPTY,
+    HALT,
+    INC,
+    JZ,
     ExplicitOracle,
+    Program,
     clear_caches,
+    decode_program,
     halt_threshold,
     jump_pairs_approx,
     run_bounded,
     staged_jump,
 )
 from xlramsey.colorings import _UNREAD, _StageTable
-from xlramsey.ramsey import _Restricted, _Subsets, exact_homog_search, verify_min_homogeneous
+from xlramsey.ramsey import (
+    _Restricted,
+    _Subsets,
+    exact_homog_search,
+    iterate_rtomega,
+    leftmost_path,
+    verify_min_homogeneous,
+)
 
 DIVERGERS = (0, 2, 4, 7, 9)  # indices that never halt on any input
 
@@ -53,6 +65,31 @@ def els(*elems):
 
 # ---------------------------------------------------------------------------
 # calls and memos
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: FiniteColoring(0, lambda t: 0), "ValueError: dimension must be at least 1"),
+    (lambda: leftmost_path(FiniteColoring(2, lambda t: 0), FinSet([2, 3]), 0),
+     "ValueError: length must be at least 1"),
+    (lambda: iterate_rtomega(ExactColoring(lambda s: 0), FinSet()),
+     "ValueError: universe must be nonempty"),
+    (lambda: mn_raw(1, 0, (2, 3), EMPTY), "ValueError: decoder levels start at 2"),
+    (lambda: decode_program(-1), "ValueError: index must be a natural"),
+    (lambda: FinSet().min(), "ValueError: empty set has no minimum"),
+    (lambda: RegressiveColoring(lambda s: 1)((0,)),
+     "ValueError: regressive coloring must be 0 at minimum 0, got 1"),
+    (lambda: repr(Program([(INC, 1, 0), (JZ, 2, -1), (HALT, 0, 0)])),
+     "Program([(INC, 1, 0), (JZ, 2, -1), (HALT, 0, 0)])"),
+    (lambda: repr(FiniteColoring(3, lambda t: 0, name="flat")),
+     "FiniteColoring(dim=3, name='flat')"),
+    (lambda: repr(ExactColoring(lambda s: 0, name="zero")), "ExactColoring(name='zero')"),
+])
+def test_argument_guards_and_reprs(call, want):
+    try:
+        got = call()
+    except ValueError as exc:
+        got = f"ValueError: {exc}"
+    assert got == want
+
 
 def test_finite_coloring_validation():
     c = FiniteColoring(2, lambda t: t[1] % 2)
@@ -941,9 +978,9 @@ def _program_10_halting_late():
     # steps, its threshold is 20, and the late bound drops to 10.
     late, real = machines.decode_program(10).instructions, machines._simulate
 
-    def simulate(instructions, oracle, x, step_cap, value_cap):
+    def simulate(instructions, oracle, x, step_cap):
         if instructions != late:
-            return real(instructions, oracle, x, step_cap, value_cap)
+            return real(instructions, oracle, x, step_cap)
         return ("halt", 19, 0, 0) if step_cap >= 19 else ("cap", step_cap, 0, None)
 
     machines._simulate = simulate

@@ -20,7 +20,6 @@ from xlramsey.machines import (
     CutoffJumpOracle,
     ExplicitOracle,
     Program,
-    ProgramSet,
     clear_caches,
     decode_program,
     encode_program,
@@ -484,28 +483,12 @@ def test_staged_jump_matches_plain_fold(elems, stages, programs, rnd):
         shuffled = list(programs)
         rnd.shuffle(shuffled)
         assert staged_jump(oracle, stages, shuffled) == want
-        # a pre-keyed set shares the cache entries of the plain list
-        assert staged_jump(oracle, stages, ProgramSet(shuffled)) == want
+        # a frozenset shares the cache entries of the plain list
+        assert staged_jump(oracle, stages, frozenset(shuffled)) == want
         clear_caches()
-        assert staged_jump(oracle, stages, ProgramSet(programs)) == want
+        assert staged_jump(oracle, stages, frozenset(programs)) == want
     # an unkeyed oracle with the same members takes the uncached path
     assert staged_jump(UnkeyedOracle(oracle.member), stages, programs) == want
-
-
-def test_program_set_key_is_computed_once(monkeypatch):
-    progs = ProgramSet([9, 3, 3, 5])
-    assert progs == {3, 5, 9}
-    staged_jump(EMPTY, (4, 3), progs)
-    interned = []
-    real = machines._content_token
-    monkeypatch.setattr(machines, "_content_token",
-                        lambda elems: interned.append(elems) or real(elems))
-    for _ in range(3):
-        staged_jump(EMPTY, (4, 3), progs)
-        jump_pairs_approx(EMPTY, 4, progs)
-    assert interned == []
-    staged_jump(EMPTY, (4, 3), [9, 3, 5])
-    assert interned[-1] == (3, 5, 9)  # a plain list is keyed on every call
 
 
 @pytest.mark.parametrize("stage, runs", [(40, 1), (46, 1), (47, 2), (50, 2)])
@@ -562,15 +545,26 @@ def test_jump_loop_matches_probe_reference(elems, s, programs):
     assert jump_pairs_approx(UnkeyedOracle(oracle.member), s, programs) == want
 
 
-def test_clear_caches_forgets_content_tokens():
+def test_oracle_keys_stay_apart_across_clear_caches():
     ExplicitOracle((1, 2, 3))
     clear_caches()
-    assert machines._CONTENT_TOKENS == {}
     five = ExplicitOracle((5,))
     assert five.key != EMPTY.key
     q, cap = PROBE, 10 ** 4
     assert halt_threshold(q, EMPTY, 5, cap) is None
     assert halt_threshold(q, five, 5, cap) == q + 1
+
+
+def test_equal_oracles_share_one_key_across_clear_caches():
+    # EMPTY was built before clear_caches; an oracle on the same (empty)
+    # contents built after it keys the same run cache entries.
+    clear_caches()
+    empty = ExplicitOracle(())
+    assert empty.key == EMPTY.key
+    assert ExplicitOracle([3, 1, 3]).key == ExplicitOracle((1, 3)).key != empty.key
+    for oracle in (EMPTY, empty):
+        assert halt_threshold(PROBE, oracle, 5, 10 ** 4) is None
+    assert list(machines._THRESHOLD_CACHE) == [(EMPTY.key, PROBE, 5)]
 
 
 def test_least_querying_index_is_read_off_decoded_programs():

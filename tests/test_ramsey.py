@@ -760,6 +760,27 @@ def test_chain_rejects_low_universe():
         iterate_rtomega(ExactColoring(lambda s: 0), FinSet([1, 2, 3]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), palette=st.integers(2, 4), regressive=st.booleans(),
+       universe=st.sets(st.integers(2, 24), min_size=1, max_size=14).map(sorted).map(FinSet),
+       max_universe=st.sampled_from((1, 2, 3, 5, 8, 128)),
+       max_candidates=st.sampled_from((1, 2, 3, 10, 10 ** 6)))
+def test_every_chain_stops_at_its_universe(seed, palette, regressive, universe,
+                                          max_universe, max_candidates):
+    # No stage extraction comes back empty or without a color, whatever
+    # the budget: a chain stops only when the universe left is shorter
+    # than its last element.
+    c = random_regressive_coloring(seed) if regressive else random_exact_coloring(seed, palette)
+    budget = SearchBudget(max_universe, max_candidates)
+    w = iterate_rtomega(c, universe, budget)
+    stages, chain = w.budget_used["stages"], w.budget_used["chain_before_thinning"]
+    assert all(s["color"] is not None and s["size"] >= 1 for s in stages)
+    if stages:
+        assert stages[-1]["size"] - 1 < chain[-1]
+    else:
+        assert len(universe.above(chain[0]).elems[:max_universe]) < chain[0]
+
+
 def test_chain_nesting_invariant():
     c = ExactColoring(lambda s: (s.elems[1] + s.min()) % 2)
     w = iterate_rtomega(c, FinSet(range(2, 26)))

@@ -33,6 +33,9 @@ COMMANDS = [
     _chain("comega", "interval:2..14"),
     _chain("dh", "evens:2..24", "--oracle", "empty"),
     _chain("km-dh", "evens:2..24"),
+    # Chains whose universe --max-universe cuts.
+    _chain("parity-of-min", "interval:2..20", "--max-universe", "10"),
+    _chain("random:7", "interval:2..20", "--max-universe", "10"),
 ]
 
 

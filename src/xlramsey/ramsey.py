@@ -26,7 +26,10 @@ class _BudgetFields(NamedTuple):
 
 
 class SearchBudget(_BudgetFields):
-    """Caps the finite searches standing in for infinitary questions."""
+    """Caps the finite searches standing in for infinitary questions:
+    ``max_universe`` the chain's universe (``iterate_rtomega``), and
+    ``max_candidates`` a tree node's children (``er_children``) and the
+    nodes expanded off the first descent (``leftmost_path``)."""
 
     __slots__ = ()
 
@@ -388,7 +391,6 @@ def er_children(node, c: FiniteColoring, universe: FinSet,
 class PathResult(NamedTuple):
     path: FinSet
     stable: bool
-    expanded: int
 
 
 def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
@@ -421,7 +423,7 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
     while stack:
         node, survivors = stack.pop()
         if len(node) == length:
-            return PathResult(FinSet(node), not truncated, expanded)
+            return PathResult(FinSet(node), not truncated)
         if end is not None and expanded >= budget.max_candidates:
             # Global node budget: give up on this region rather than
             # exploring an adversarial tree forever.
@@ -434,7 +436,7 @@ def leftmost_path(c: FiniteColoring, universe: FinSet, length: int,
         if end is None and not ch.values:
             end = node
         stack += [(node + (j,), below) for j, below in zip(ch.values, ch.classes)][::-1]
-    return PathResult(FinSet(end), False, expanded)
+    return PathResult(FinSet(end), False)
 
 
 class _Restricted:
@@ -516,68 +518,46 @@ def _greedy_extend(c: FiniteColoring, base: FinSet, color: Optional[int],
     return FinSet(chosen)
 
 
-def f_a_extract(a: int, c: FiniteColoring, universe: FinSet, target: int,
+def f_a_extract(c: FiniteColoring, universe: FinSet, target: int,
                 budget: SearchBudget = DEFAULT_BUDGET) -> Witness:
-    """Extract a homogeneous set for an a-ary coloring by iterated
-    branch restriction.
+    """Extract a homogeneous set for the coloring, of arity
+    ``c.dimension``, by iterated branch restriction.
 
     Arity 1 is the budgeted stand-in for "does some color recur
     forever": the first color class, in color order, that reaches the
     target is taken; failing that, the largest class (ties to the least
     color, color 0 on an empty universe) as a flagged best effort.
     Higher arities build the leftmost branch, restrict the coloring to
-    it, and recurse.  Shortfall or a budget cut leaves the witness
-    unverified.  The set is not read again: every branch that
-    ``leftmost_path`` returns is end-homogeneous (Erdos & Rado 1956), so
-    an a-subset of the branch has the inner set's color, and
-    ``_greedy_extend`` reads every a-subset that holds an element before
-    it adds the element.
+    it, and recurse.  Only a shortfall leaves the witness unverified, not
+    a budget cut, and the set is not read again: every branch that
+    ``leftmost_path`` returns, cut or not, is end-homogeneous (Erdos &
+    Rado 1956), so an a-subset of the branch has the inner set's color,
+    and ``_greedy_extend`` reads every a-subset that holds an element
+    before it adds the element.
     """
+    a = c.dimension
     if a < 1:
         raise ValueError("arity must be at least 1")
-    if c.dimension != a:
-        raise ValueError(f"coloring has dimension {c.dimension}, expected {a}")
-    elems = universe.elems[: budget.max_universe]
 
     if a == 1:
         classes: dict[int, list] = {}
-        for x, v in zip(elems, c.colors(zip(elems))):
+        for x, v in zip(universe.elems, c.colors(zip(universe.elems))):
             classes.setdefault(v, []).append(x)
         ordered = [classes.get(v, []) for v in range(max(classes, default=0) + 1)]
         color = next((v for v, cls in enumerate(ordered) if len(cls) >= target),
                      max(range(len(ordered)), key=lambda v: len(ordered[v])))
         chosen = ordered[color][:target]
-        return Witness(
-            FinSet(chosen), "homogeneous", color=color,
-            verified=len(chosen) >= target,
-            budget_used={"arity": 1, "target": target, "achieved": len(chosen)},
-        )
+        return Witness(FinSet(chosen), "homogeneous", color=color,
+                       verified=len(chosen) >= target)
 
-    want = min(len(elems), target + a - 1)
-    pr = leftmost_path(c, FinSet(elems), want, budget) if want else PathResult(FinSet(), False, 0)
-    path = pr.path.elems
+    want = min(len(universe), target + a - 1)
+    path = leftmost_path(c, universe, want, budget).path.elems if want else ()
     if len(path) < 2:
-        return Witness(
-            FinSet(path[:1]), "homogeneous", color=None, verified=False,
-            budget_used={"arity": a, "target": target, "achieved": len(path[:1]),
-                         "path_len": len(path), "path_stable": pr.stable},
-        )
-    inner = f_a_extract(
-        a - 1, _Restricted(c, path), FinSet(path[:-1]), target, budget
-    )
-    chosen = _greedy_extend(c, inner.set, inner.color, FinSet(elems), target)
-    recheck = inner.color is not None
-    stats = {
-        "arity": a, "target": target, "achieved": len(chosen),
-        "path_len": len(path), "path_stable": pr.stable,
-        "homogeneous_recheck": recheck,
-        "inner": inner.budget_used,
-    }
-    return Witness(
-        chosen, "homogeneous", color=inner.color,
-        verified=recheck and len(chosen) >= target,
-        budget_used=stats,
-    )
+        return Witness(FinSet(path[:1]), "homogeneous", color=None, verified=False)
+    inner = f_a_extract(_Restricted(c, path), FinSet(path[:-1]), target, budget)
+    chosen = _greedy_extend(c, inner.set, inner.color, universe, target)
+    return Witness(chosen, "homogeneous", color=inner.color,
+                   verified=inner.color is not None and len(chosen) >= target)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +592,7 @@ def iterate_rtomega(c: ExactColoring, universe: FinSet,
         stage_universe = FinSet(current)
         # A stage universe has at least a >= 2 elements, so its branch
         # reaches length a and the extraction has a set and a color.
-        w = f_a_extract(a, c.at_min(a, stage_universe), stage_universe, len(current), budget)
+        w = f_a_extract(c.at_min(a, stage_universe), stage_universe, len(current), budget)
         stages.append({
             "a": a, "size": len(w.set), "color": w.color, "verified": w.verified,
         })

@@ -71,8 +71,8 @@ def leftmost_path(c, universe, length, budget=DEFAULT_BUDGET):
 
     best = extend((), universe.elems)
     if best is None:
-        return PathResult(FinSet(end), False, expanded)
-    return PathResult(FinSet(best), not truncated, expanded)
+        return PathResult(FinSet(end), False)
+    return PathResult(FinSet(best), not truncated)
 
 
 class Restricted:
@@ -106,12 +106,11 @@ def greedy_extend(c, base, color: Optional[int], universe, target):
     return FinSet(chosen)
 
 
-def f_a_extract(a, c, universe, target, budget=DEFAULT_BUDGET):
+def f_a_extract(c, universe, target, budget=DEFAULT_BUDGET):
+    a = c.dimension
     if a < 1:
         raise ValueError("arity must be at least 1")
-    if c.dimension != a:
-        raise ValueError(f"coloring has dimension {c.dimension}, expected {a}")
-    elems = universe.elems[: budget.max_universe]
+    elems = universe.elems
 
     if a == 1:
         classes = {}
@@ -121,34 +120,17 @@ def f_a_extract(a, c, universe, target, budget=DEFAULT_BUDGET):
         color = next((v for v, cls in enumerate(ordered) if len(cls) >= target),
                      max(range(len(ordered)), key=lambda v: len(ordered[v])))
         chosen = ordered[color][:target]
-        return Witness(
-            FinSet(chosen), "homogeneous", color=color,
-            verified=len(chosen) >= target,
-            budget_used={"arity": 1, "target": target, "achieved": len(chosen)},
-        )
+        return Witness(FinSet(chosen), "homogeneous", color=color,
+                       verified=len(chosen) >= target)
 
     want = min(len(elems), target + a - 1)
-    pr = leftmost_path(c, FinSet(elems), want, budget) if want else PathResult(FinSet(), False, 0)
-    path = pr.path.elems
+    path = leftmost_path(c, universe, want, budget).path.elems if want else ()
     if len(path) < 2:
-        return Witness(
-            FinSet(path[:1]), "homogeneous", color=None, verified=False,
-            budget_used={"arity": a, "target": target, "achieved": len(path[:1]),
-                         "path_len": len(path), "path_stable": pr.stable},
-        )
-    inner = f_a_extract(a - 1, Restricted(c, path), FinSet(path[:-1]), target, budget)
-    chosen = greedy_extend(c, inner.set, inner.color, FinSet(elems), target)
+        return Witness(FinSet(path[:1]), "homogeneous", color=None, verified=False)
+    inner = f_a_extract(Restricted(c, path), FinSet(path[:-1]), target, budget)
+    chosen = greedy_extend(c, inner.set, inner.color, universe, target)
     recheck = all(
         c(sub) == inner.color for sub in combinations(chosen.elems, a)
     ) if inner.color is not None else False
-    stats = {
-        "arity": a, "target": target, "achieved": len(chosen),
-        "path_len": len(path), "path_stable": pr.stable,
-        "homogeneous_recheck": recheck,
-        "inner": inner.budget_used,
-    }
-    return Witness(
-        chosen, "homogeneous", color=inner.color,
-        verified=recheck and len(chosen) >= target,
-        budget_used=stats,
-    )
+    return Witness(chosen, "homogeneous", color=inner.color,
+                   verified=recheck and len(chosen) >= target)

@@ -175,7 +175,7 @@ def test_criterion_5_extraction_soundness():
         n = rng.randrange(max(10, 4 * a), 61)
         target = rng.randrange(a + 1, 7)
         c = random_finite_coloring(1000 + run, a)
-        w = f_a_extract(a, c, FinSet(range(n)), target)
+        w = f_a_extract(c, FinSet(range(n)), target)
         if w.color is None:
             failures += 1
             continue

@@ -38,6 +38,7 @@ from xlramsey.machines import (
     INC,
     JZ,
     ExplicitOracle,
+    OracleSet,
     Program,
     clear_caches,
     decode_program,
@@ -51,6 +52,7 @@ from xlramsey.ramsey import (
     _Restricted,
     _Subsets,
     exact_homog_search,
+    f_a_extract,
     iterate_rtomega,
     leftmost_path,
     verify_min_homogeneous,
@@ -72,6 +74,10 @@ def els(*elems):
      "ValueError: length must be at least 1"),
     (lambda: iterate_rtomega(ExactColoring(lambda s: 0), FinSet()),
      "ValueError: universe must be nonempty"),
+    # A stage at minimum 0 has dimension 0, which the extraction refuses.
+    (lambda: f_a_extract(ExactColoring(lambda s: 0).at_min(0, FinSet([1, 2])), FinSet([1, 2]), 2),
+     "ValueError: arity must be at least 1"),
+    (lambda: OracleSet().member(0), "NotImplementedError: "),
     (lambda: mn_raw(1, 0, (2, 3), EMPTY), "ValueError: decoder levels start at 2"),
     (lambda: decode_program(-1), "ValueError: index must be a natural"),
     (lambda: FinSet().min(), "ValueError: empty set has no minimum"),
@@ -86,9 +92,23 @@ def els(*elems):
 def test_argument_guards_and_reprs(call, want):
     try:
         got = call()
-    except ValueError as exc:
-        got = f"ValueError: {exc}"
+    except (ValueError, NotImplementedError) as exc:
+        got = f"{type(exc).__name__}: {exc}"
     assert got == want
+
+
+def test_a_stage_row_read_checks_each_color_it_evaluates():
+    # A row read's miss goes through the palette check: a bool reads as
+    # its int, a color outside the palette or not an integer is refused.
+    def read(color):
+        stage = ExactColoring(lambda s: color).at_min(2, FinSet(range(3, 8)))
+        return stage.row(_Subsets((3, 4), 1))((5,))
+
+    assert read(True) == b"\x01\x01"
+    with pytest.raises(ValueError, match="^color 2 outside palette of 2$"):
+        read(2)
+    with pytest.raises(ValueError, match=r"^color 1\.0 is not an integer$"):
+        read(1.0)
 
 
 def test_finite_coloring_validation():

@@ -637,7 +637,7 @@ def test_cutoff_jump_shared_across_threads():
 
 def test_unlocked_caches_agree_under_thread_switching():
     # Racing threads may lose memo writes, which only costs re-runs: no
-    # answer changes and one set content never gets two tokens.
+    # answer changes, and oracles of one set content get equal keys.
     cases = [(e, x, cap) for e in range(0, 400, 3) for x in (0, 3) for cap in (5, 40, 200)]
     oracles = (EMPTY, ExplicitOracle([0, 3]))
     want = [[threshold_reference(e, o, x, cap) for e, x, cap in cases] for o in oracles]
